@@ -44,6 +44,13 @@ def _parse_rational(text: str) -> Fraction:
         raise UsageError(f"cannot parse rational {text!r}: {exc}") from exc
 
 
+def _check_size(what: str, value: int) -> int:
+    if value > series_mod.ORDER_LIMIT:
+        raise RangeError(f"{what} must be at most {series_mod.ORDER_LIMIT}, "
+                         f"got {value}")
+    return value
+
+
 def _parse_n_range(text: str) -> range:
     """An n selector: a single integer or an inclusive "lo..hi" range."""
     try:
@@ -52,11 +59,11 @@ def _parse_n_range(text: str) -> range:
             lo, hi = int(lo_text), int(hi_text)
             if hi < lo:
                 raise UsageError(f"empty n-range {text!r}")
-            return range(lo, hi + 1)
-        n = int(text)
-        return range(n, n + 1)
+        else:
+            lo = hi = int(text)
     except ValueError as exc:
         raise UsageError(f"cannot parse n selector {text!r}: {exc}") from exc
+    return range(lo, _check_size("--n", hi) + 1)
 
 
 # ----------------------------------------------------------------------
@@ -241,7 +248,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
     if family.series_fn is None:
         raise UsageError(f"family {family.name!r} has no generating-"
                          f"function route; use the table command")
-    order = (args.order if args.order is not None
+    order = (_check_size("--order", args.order) if args.order is not None
              else series_mod.default_order())
     ser = gf.build(family.series_fn(params), order)
     if args.format == "json":

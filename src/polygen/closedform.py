@@ -31,6 +31,7 @@ from .errors import RangeError, SingularityError, UsageError
 from .exact import CPoly, MultiPoly, Rational, U, X, binom
 
 _ONE = MultiPoly.const(1)
+_ZERO = MultiPoly.zero()
 
 
 def _check_n(n: int) -> None:
@@ -45,6 +46,40 @@ def _check_r(r: int) -> None:
 
 
 # ----------------------------------------------------------------------
+# shared sums
+
+
+def _cs_parity(kind: str) -> int:
+    """0 for the cosine side "C", 1 for the sine side "S"."""
+    if kind not in ("C", "S"):
+        raise UsageError(f"unknown kind {kind!r}; expected 'C' or 'S'")
+    return ("C", "S").index(kind)
+
+
+def y_parity_sum(n: int, parity: int, g) -> MultiPoly:
+    """sum_j (-1)^j binom(n, 2j+p) y^(2j+p) g(n-2j-p) over the even
+    (p = 0, cosine side) or odd (p = 1, sine side) powers of y."""
+    acc = MultiPoly.zero()
+    for j in range((n - parity) // 2 + 1):
+        k = 2 * j + parity
+        coef = Fraction((-1) ** j * binom(n, k))
+        acc = acc + MultiPoly.monomial({"y": k}, coef) * g(n - k)
+    return acc
+
+
+def binomial_convolution(n: int, f, g, lo: int = 0,
+                         zero: MultiPoly | CPoly = _ZERO):
+    """sum_{j=lo..n} binom(n, j) f(j) g(n-j), with ``zero`` as the empty
+    sum; a term whose weight g(n-j)*binom(n,j) vanishes is skipped."""
+    acc = zero
+    for j in range(lo, n + 1):
+        weight = g(n - j) * binom(n, j)
+        if weight:
+            acc = acc + f(j) * weight
+    return acc
+
+
+# ----------------------------------------------------------------------
 # cosine / sine polynomials and their Chebyshev relatives
 
 
@@ -53,43 +88,29 @@ def cs_poly(kind: str, n: int) -> MultiPoly:
     """The degree-n coefficient polynomial of e^(x*t)cos(y*t) ("C")
     or e^(x*t)sin(y*t) ("S"), as an explicit alternating sum."""
     _check_n(n)
-    acc = MultiPoly.zero()
-    if kind == "C":
-        for k in range(n // 2 + 1):
-            coef = Fraction((-1) ** k * binom(n, 2 * k))
-            acc = acc + MultiPoly.monomial({"x": n - 2 * k, "y": 2 * k}, coef)
-        return acc
-    if kind == "S":
-        for k in range((n - 1) // 2 + 1):
-            coef = Fraction((-1) ** k * binom(n, 2 * k + 1))
-            acc = acc + MultiPoly.monomial(
-                {"x": n - 2 * k - 1, "y": 2 * k + 1}, coef)
-        return acc
-    raise UsageError(f"unknown kind {kind!r}; expected 'C' or 'S'")
+    return y_parity_sum(n, _cs_parity(kind),
+                        lambda m: MultiPoly.monomial({"x": m}))
 
 
 @lru_cache(maxsize=None)
 def chebyshev(kind: str, n: int) -> MultiPoly:
     """First kind T_n ("T"), or second kind U_{n-1} ("U", n >= 1)."""
     _check_n(n)
-    if kind == "T":
-        acc = MultiPoly.zero()
-        shifted = X * X - 1
-        for k in range(n // 2 + 1):
-            acc = acc + (shifted ** k
-                         * MultiPoly.monomial({"x": n - 2 * k}, binom(n, 2 * k)))
-        return acc
-    if kind == "U":
-        if n < 1:
-            raise RangeError("chebyshev('U', n) returns U_{n-1}; needs n >= 1")
-        acc = MultiPoly.zero()
-        shifted = X * X - 1
-        for k in range((n - 1) // 2 + 1):
-            acc = acc + (shifted ** k
-                         * MultiPoly.monomial({"x": n - 2 * k - 1},
-                                              binom(n, 2 * k + 1)))
-        return acc
-    raise UsageError(f"unknown kind {kind!r}; expected 'T' or 'U'")
+    if kind not in ("T", "U"):
+        raise UsageError(f"unknown kind {kind!r}; expected 'T' or 'U'")
+    parity = ("T", "U").index(kind)
+    if n < parity:
+        raise RangeError("chebyshev('U', n) returns U_{n-1}; needs n >= 1")
+    # sum_k binom(n, 2k+p) x^(n-2k-p) (x^2-1)^k, one power at a time
+    acc = MultiPoly.zero()
+    shifted = X * X - 1
+    power = _ONE
+    for k in range((n - parity) // 2 + 1):
+        if k:
+            power = power * shifted
+        acc = acc + power * MultiPoly.monomial({"x": n - 2 * k - parity},
+                                               binom(n, 2 * k + parity))
+    return acc
 
 
 @lru_cache(maxsize=None)
@@ -165,23 +186,12 @@ def kpoly(part: str, n: int, r: int) -> MultiPoly | CPoly:
     """
     _check_n(n)
     _check_r(r)
-    if part == "k1":
-        acc = MultiPoly.zero()
-        for j in range(n // 2 + 1):
-            coef = Fraction((-1) ** j * binom(n, 2 * j))
-            acc = acc + (MultiPoly.monomial({"y": 2 * j}, coef)
-                         * _hermite_shift(n - 2 * j, r))
-        return acc
-    if part == "k2":
-        acc = MultiPoly.zero()
-        for j in range((n - 1) // 2 + 1):
-            coef = Fraction((-1) ** j * binom(n, 2 * j + 1))
-            acc = acc + (MultiPoly.monomial({"y": 2 * j + 1}, coef)
-                         * _hermite_shift(n - 1 - 2 * j, r))
-        return acc
     if part == "K":
         return CPoly(kpoly("k1", n, r), kpoly("k2", n, r))
-    raise UsageError(f"unknown part {part!r}; expected 'k1', 'k2' or 'K'")
+    if part not in ("k1", "k2"):
+        raise UsageError(f"unknown part {part!r}; expected 'k1', 'k2' or 'K'")
+    return y_parity_sum(n, ("k1", "k2").index(part),
+                        lambda m: _hermite_shift(m, r))
 
 
 @lru_cache(maxsize=None)
@@ -208,20 +218,7 @@ def cs_r(kind: str, n: int, r: int) -> MultiPoly:
     counterpart ("S"): alternating y-sums over Hermite-type values."""
     _check_n(n)
     _check_r(r)
-    acc = MultiPoly.zero()
-    if kind == "C":
-        for j in range(n // 2 + 1):
-            coef = Fraction((-1) ** j * binom(n, 2 * j))
-            acc = acc + (MultiPoly.monomial({"y": 2 * j}, coef)
-                         * hermite_gen(n - 2 * j, r))
-        return acc
-    if kind == "S":
-        for j in range((n - 1) // 2 + 1):
-            coef = Fraction((-1) ** j * binom(n, 2 * j + 1))
-            acc = acc + (MultiPoly.monomial({"y": 2 * j + 1}, coef)
-                         * hermite_gen(n - 1 - 2 * j, r))
-        return acc
-    raise UsageError(f"unknown kind {kind!r}; expected 'C' or 'S'")
+    return y_parity_sum(n, _cs_parity(kind), lambda m: hermite_gen(m, r))
 
 
 # ----------------------------------------------------------------------
@@ -349,19 +346,8 @@ def parametric_apostol(kind: str, n: int, z: int, a: Rational) -> MultiPoly:
     if kind not in ("BC", "BS", "EC", "ES"):
         raise UsageError(
             f"unknown kind {kind!r}; expected 'BC', 'BS', 'EC' or 'ES'")
-    base_kind = kind[0]
-    acc = MultiPoly.zero()
-    if kind[1] == "C":
-        for j in range(n // 2 + 1):
-            coef = Fraction((-1) ** j * binom(n, 2 * j))
-            acc = acc + (MultiPoly.monomial({"y": 2 * j}, coef)
-                         * apostol(base_kind, n - 2 * j, z, a))
-        return acc
-    for j in range((n - 1) // 2 + 1):
-        coef = Fraction((-1) ** j * binom(n, 2 * j + 1))
-        acc = acc + (MultiPoly.monomial({"y": 2 * j + 1}, coef)
-                     * apostol(base_kind, n - 1 - 2 * j, z, a))
-    return acc
+    return y_parity_sum(n, _cs_parity(kind[1]),
+                        lambda m: apostol(kind[0], m, z, a))
 
 
 # ----------------------------------------------------------------------
@@ -399,6 +385,10 @@ def _y6_poly(m: int, z: int, fkind: genfun.FKind, a: Rational,
     return acc
 
 
+_H_VARIANTS = {"h": lambda k: k, "h1": lambda k: k + k.conj(),
+               "h2": lambda k: k - k.conj()}
+
+
 @lru_cache(maxsize=None)
 def hpoly(kind: str, n: int, z: int, r: int, fkind: genfun.FKind,
           a: Rational, b: Rational) -> CPoly:
@@ -409,25 +399,13 @@ def hpoly(kind: str, n: int, z: int, r: int, fkind: genfun.FKind,
     """
     _check_n(n)
     _check_r(r)
-    a = Fraction(a)
-    b = Fraction(b)
-    nums = _y6_numbers(z, fkind, a, b, n)
-    acc = CPoly.zero()
-    for j in range(n + 1):
-        weight = binom(n, j) * nums[n - j]
-        if not weight:
-            continue
-        kval = kpoly("K", j, r)
-        if kind == "h":
-            acc = acc + kval * weight
-        elif kind == "h1":
-            acc = acc + (kval + kval.conj()) * weight
-        elif kind == "h2":
-            acc = acc + (kval - kval.conj()) * weight
-        else:
-            raise UsageError(
-                f"unknown kind {kind!r}; expected 'h', 'h1' or 'h2'")
-    return acc
+    if kind not in _H_VARIANTS:
+        raise UsageError(
+            f"unknown kind {kind!r}; expected 'h', 'h1' or 'h2'")
+    nums = _y6_numbers(z, fkind, Fraction(a), Fraction(b), n)
+    return binomial_convolution(
+        n, lambda j: _H_VARIANTS[kind](kpoly("K", j, r)),
+        lambda m: nums[m], zero=CPoly.zero())
 
 
 @lru_cache(maxsize=None)
@@ -442,12 +420,9 @@ def frak_h(kind: int, n: int, z: int, r: int, fkind: genfun.FKind,
     a = Fraction(a)
     b = Fraction(b)
     cs_kind = "C" if kind == 1 else "S"
-    acc = MultiPoly.zero()
-    for j in range(n + 1):
-        weight = binom(n, j)
-        part = _y6_poly(n - j, z, fkind, a, b) * cs_r(cs_kind, j, r)
-        acc = acc + part * weight
-    return acc * 2
+    return binomial_convolution(
+        n, lambda j: cs_r(cs_kind, j, r),
+        lambda m: _y6_poly(m, z, fkind, a, b)) * 2
 
 
 # ----------------------------------------------------------------------
@@ -458,10 +433,7 @@ def frak_h(kind: int, n: int, z: int, r: int, fkind: genfun.FKind,
 def _p12(n: int, r: int) -> CPoly:
     """sum_j binom(n,j) H_j(u1..ur) * (x+iy)**(n-j), the complex value
     whose real and imaginary parts the projections below expose."""
-    acc = CPoly.zero()
-    for j in range(n + 1):
-        acc = acc + npoly(n - j) * (hermite_gen(j, r) * binom(n, j))
-    return acc
+    return binomial_convolution(n, npoly, lambda m: hermite_gen(m, r))
 
 
 def ppoly(kind: str, n: int, r: int) -> MultiPoly:

@@ -52,10 +52,10 @@ Scalar = Union[int, Fraction]
 
 
 def _coerce(value: object) -> Fraction:
-    """Coerce an exact scalar to Fraction, rejecting floats outright."""
+    """Coerce an exact scalar to Fraction, rejecting floats and bools."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise UsageError(f"expected an exact rational, got {type(value).__name__}")
 
@@ -212,6 +212,8 @@ class MultiPoly:
         return result
 
     def __eq__(self, other: object) -> bool:
+        if isinstance(other, bool):
+            return NotImplemented
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.const(other, self.reduced_s)
         if isinstance(other, CPoly):
@@ -222,9 +224,14 @@ class MultiPoly:
                 and self.terms == other.terms)
 
     def __hash__(self) -> int:
+        # A constant equals its scalar value, so it must hash as that value.
         if self._hash is None:
-            items = tuple(sorted(self.terms.items()))
-            self._hash = hash((items, self.reduced_s))
+            const = self.const_value()
+            if const is not None:
+                self._hash = hash(const)
+            else:
+                items = tuple(sorted(self.terms.items()))
+                self._hash = hash((items, self.reduced_s))
         return self._hash
 
     def __bool__(self) -> bool:
@@ -596,6 +603,8 @@ class CPoly:
     __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
+        if isinstance(other, bool):
+            return NotImplemented
         if isinstance(other, (MultiPoly, int, Fraction)):
             other = CPoly._lift(other, self.reduced_s)
         if not isinstance(other, CPoly):
@@ -603,6 +612,9 @@ class CPoly:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self) -> int:
+        # A value with no imaginary part equals its real part.
+        if self.im.is_zero():
+            return hash(self.re)
         return hash((self.re, self.im))
 
     # ------------------------------------------------------------------

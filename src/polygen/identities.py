@@ -12,12 +12,17 @@ pins: they confirm that a known-broken variant of a formula really
 does disagree with the oracle while the corrected variant agrees.
 Those checks *pass* when the disagreement is present.
 
+Checks that share a shape (kernel series, the kernel-family grid, the
+Bernoulli/Euler reductions, the number-weighted convolutions) are rows
+of one parameterised generator each, registered once per check id.
+
 Suites group the checks; ``run_suite`` returns reports in a fixed
 catalog order so output is deterministic byte for byte.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -125,12 +130,9 @@ def _register(check_id: str, default: Bounds):
 def _register_fn(check_id: str, default: Bounds):
     """Register a check that builds its own report."""
     def deco(fn: Callable[[Bounds], CheckReport]):
-        def runner(bounds: Bounds) -> CheckReport:
-            return fn(bounds)
-        runner.__name__ = f"check_{check_id}"
-        CHECKS[check_id] = runner
+        CHECKS[check_id] = fn
         DEFAULTS[check_id] = default
-        return runner
+        return fn
     return deco
 
 
@@ -150,65 +152,49 @@ def _kernel_grid(bounds: Bounds) -> Iterator[tuple[str, Fraction]]:
             yield fkind, a
 
 
+def _hermite(r: int) -> Callable[[int], MultiPoly]:
+    """m -> the Hermite-type value H_m(u1..ur)."""
+    return lambda m: cf.hermite_gen(m, r)
+
+
 # ======================================================================
 # the complex kernel and its real/imaginary split
 
 
-@_register("lemma1", Bounds(n_max=10, r_max=3))
-def _lemma1(bounds: Bounds) -> Iterator[Comparison]:
-    """Series coefficients of the cosine kernel match the alternating
-    closed-form sum over shifted Hermite-type values."""
-    for r in range(1, bounds.r_max + 1):
-        built = gf.build(gf.K1Kernel(r), bounds.n_max)
-        for n in range(bounds.n_max + 1):
-            yield ({"n": n, "r": r}, built.coefficient(n),
-                   cf.kpoly("k1", n, r))
+def _kernel_series_check(check_id: str, descriptor, part: str) -> None:
+    """Register: series coefficients of the kernel ``descriptor(r)``
+    against the closed form ``kpoly(part, n, r)``."""
+    @_register(check_id, Bounds(n_max=10, r_max=3))
+    def gen(bounds: Bounds) -> Iterator[Comparison]:
+        for r in range(1, bounds.r_max + 1):
+            built = gf.build(descriptor(r), bounds.n_max)
+            for n in range(bounds.n_max + 1):
+                yield ({"n": n, "r": r}, built.coefficient(n),
+                       cf.kpoly(part, n, r))
 
 
-@_register("lemma2", Bounds(n_max=10, r_max=3))
-def _lemma2(bounds: Bounds) -> Iterator[Comparison]:
-    """Sine-kernel analogue of lemma1."""
-    for r in range(1, bounds.r_max + 1):
-        built = gf.build(gf.K2Kernel(r), bounds.n_max)
-        for n in range(bounds.n_max + 1):
-            yield ({"n": n, "r": r}, built.coefficient(n),
-                   cf.kpoly("k2", n, r))
+def _kernel_convolution_check(check_id: str, part: str, cs_kind: str) -> None:
+    """Register: ``kpoly(part, n, r)`` against the binomial convolution of
+    plain cosine ("C") or sine ("S") values with unshifted Hermite-type
+    values."""
+    @_register(check_id, Bounds(n_max=10, r_max=3))
+    def gen(bounds: Bounds) -> Iterator[Comparison]:
+        for r in range(1, bounds.r_max + 1):
+            for n in range(bounds.n_max + 1):
+                rhs = cf.binomial_convolution(
+                    n, lambda j: cf.cs_poly(cs_kind, j), _hermite(r))
+                yield {"n": n, "r": r}, cf.kpoly(part, n, r), rhs
 
 
-@_register("k_decomposition", Bounds(n_max=10, r_max=3))
-def _k_decomposition(bounds: Bounds) -> Iterator[Comparison]:
-    """The complex kernel series splits exactly into the two real
-    closed forms as real and imaginary parts."""
-    for r in range(1, bounds.r_max + 1):
-        built = gf.build(gf.GKernel(r), bounds.n_max)
-        for n in range(bounds.n_max + 1):
-            yield ({"n": n, "r": r}, built.coefficient(n),
-                   cf.kpoly("K", n, r))
-
-
-@_register("k1hc", Bounds(n_max=10, r_max=3))
-def _k1hc(bounds: Bounds) -> Iterator[Comparison]:
-    """Cosine kernel values as a binomial convolution of plain cosine
-    values with unshifted Hermite-type values."""
-    for r in range(1, bounds.r_max + 1):
-        for n in range(bounds.n_max + 1):
-            rhs = MultiPoly.zero()
-            for j in range(n + 1):
-                rhs = rhs + (cf.cs_poly("C", j) * cf.hermite_gen(n - j, r)
-                             * binom(n, j))
-            yield ({"n": n, "r": r}, cf.kpoly("k1", n, r), rhs)
-
-
-@_register("k2hs", Bounds(n_max=10, r_max=3))
-def _k2hs(bounds: Bounds) -> Iterator[Comparison]:
-    """Sine-kernel analogue of k1hc."""
-    for r in range(1, bounds.r_max + 1):
-        for n in range(bounds.n_max + 1):
-            rhs = MultiPoly.zero()
-            for j in range(n + 1):
-                rhs = rhs + (cf.cs_poly("S", j) * cf.hermite_gen(n - j, r)
-                             * binom(n, j))
-            yield ({"n": n, "r": r}, cf.kpoly("k2", n, r), rhs)
+# lemma1/lemma2: the cosine/sine kernel series match the alternating
+# closed-form sums over shifted Hermite-type values; k_decomposition: the
+# complex kernel series splits exactly into those two as real and
+# imaginary parts.
+_kernel_series_check("lemma1", gf.K1Kernel, "k1")
+_kernel_series_check("lemma2", gf.K2Kernel, "k2")
+_kernel_series_check("k_decomposition", gf.GKernel, "K")
+_kernel_convolution_check("k1hc", "k1", "C")
+_kernel_convolution_check("k2hs", "k2", "S")
 
 
 @_register("c1_linear_comb", Bounds(n_max=10, r_max=3))
@@ -218,14 +204,10 @@ def _c1_linear_comb(bounds: Bounds) -> Iterator[Comparison]:
     for r in range(1, bounds.r_max + 1):
         for n in range(bounds.n_max + 1):
             kval = cf.kpoly("K", n, r)
-            rhs_w = CPoly.zero()
-            rhs_cs = CPoly.zero()
-            for j in range(n + 1):
-                rhs_w = rhs_w + cf.npoly(n - j) * (
-                    cf.hermite_gen(j, r) * binom(n, j))
-                rhs_cs = rhs_cs + CPoly(cf.cs_poly("C", j),
-                                        cf.cs_poly("S", j)) * (
-                    cf.hermite_gen(n - j, r) * binom(n, j))
+            rhs_w = cf.binomial_convolution(n, cf.npoly, _hermite(r))
+            rhs_cs = cf.binomial_convolution(
+                n, lambda j: CPoly(cf.cs_poly("C", j), cf.cs_poly("S", j)),
+                _hermite(r))
             yield ({"n": n, "r": r, "route": "w-powers"}, kval, rhs_w)
             yield ({"n": n, "r": r, "route": "cos-sin"}, kval, rhs_cs)
 
@@ -245,277 +227,122 @@ _GRID_BOUNDS = Bounds(n_max=10, r_max=2,
                       b_values=(Fraction(1), Fraction(1, 2)))
 
 
-@_register("nk1", _GRID_BOUNDS)
-def _nk1(bounds: Bounds) -> Iterator[Comparison]:
-    """Series route for the value+conjugate family against its closed
-    convolution, plus the all-zero-u specialization against plain
-    powers of w."""
-    for r in range(1, bounds.r_max + 1):
-        for z in bounds.z_values:
-            for fkind, a in _kernel_grid(bounds):
-                for b in bounds.b_values:
-                    b = Fraction(b)
-                    built = gf.build(gf.M2(z, fkind, a, b, r), bounds.n_max)
+def _grid_check(check_id: str, descriptor, closed, u0=None) -> None:
+    """Register: over the r x z x kernel x a x b grid, the series of
+    ``descriptor(z, fkind, a, b, r)`` against ``closed(n, z, r, fkind,
+    a, b)``.
+
+    With ``u0``, each closed value at u = 0 is also compared with
+    sum_j binom(n,j) u0(j) c_(n-j), where c are the scalar coefficients
+    of the kernel power (b + f(t,a))^z.  That sum does not depend on r,
+    so it is built once per (n, z, fkind, a, b).
+    """
+    @_register(check_id, _GRID_BOUNDS)
+    def gen(bounds: Bounds) -> Iterator[Comparison]:
+        plain: dict[tuple, object] = {}
+        for r, z, (fkind, a), b in itertools.product(
+                range(1, bounds.r_max + 1), bounds.z_values,
+                _kernel_grid(bounds), bounds.b_values):
+            b = Fraction(b)
+            built = gf.build(descriptor(z, fkind, a, b, r), bounds.n_max)
+            for n in range(bounds.n_max + 1):
+                inputs = _m_inputs(n, r, z, fkind, a, b)
+                value = closed(n, z, r, fkind, a, b)
+                yield inputs, built.coefficient(n), value
+                if u0 is None:
+                    continue
+                key = (n, z, fkind, a, b)
+                if key not in plain:
                     scalars = gf.build(gf.R1(z, fkind, a, b), bounds.n_max)
-                    for n in range(bounds.n_max + 1):
-                        closed = cf.hpoly("h1", n, z, r, fkind, a, b)
-                        yield (_m_inputs(n, r, z, fkind, a, b),
-                               built.coefficient(n), closed)
-                        plain = CPoly.zero()
-                        for j in range(n + 1):
-                            weight = scalars.coefficient(n - j) * binom(n, j)
-                            plain = plain + (cf.npoly(j)
-                                             + cf.npoly(j, True)) * weight
-                        inputs = _m_inputs(n, r, z, fkind, a, b)
-                        inputs["route"] = "u=0"
-                        yield (inputs, _zero_u(closed, r), plain)
+                    plain[key] = cf.binomial_convolution(
+                        n, u0, scalars.coefficient)
+                yield dict(inputs, route="u=0"), _zero_u(value, r), plain[key]
 
 
-@_register("nk2", _GRID_BOUNDS)
-def _nk2(bounds: Bounds) -> Iterator[Comparison]:
-    """Value-minus-conjugate analogue of nk1."""
-    for r in range(1, bounds.r_max + 1):
-        for z in bounds.z_values:
-            for fkind, a in _kernel_grid(bounds):
-                for b in bounds.b_values:
-                    b = Fraction(b)
-                    built = gf.build(gf.M3(z, fkind, a, b, r), bounds.n_max)
-                    scalars = gf.build(gf.R1(z, fkind, a, b), bounds.n_max)
-                    for n in range(bounds.n_max + 1):
-                        closed = cf.hpoly("h2", n, z, r, fkind, a, b)
-                        yield (_m_inputs(n, r, z, fkind, a, b),
-                               built.coefficient(n), closed)
-                        plain = CPoly.zero()
-                        for j in range(n + 1):
-                            weight = scalars.coefficient(n - j) * binom(n, j)
-                            plain = plain + (cf.npoly(j)
-                                             - cf.npoly(j, True)) * weight
-                        inputs = _m_inputs(n, r, z, fkind, a, b)
-                        inputs["route"] = "u=0"
-                        yield (inputs, _zero_u(closed, r), plain)
-
-
-@_register("nk3", _GRID_BOUNDS)
-def _nk3(bounds: Bounds) -> Iterator[Comparison]:
-    """Plain kernel-weighted family against its closed convolution,
-    plus the all-zero-u specialization."""
-    for r in range(1, bounds.r_max + 1):
-        for z in bounds.z_values:
-            for fkind, a in _kernel_grid(bounds):
-                for b in bounds.b_values:
-                    b = Fraction(b)
-                    built = gf.build(gf.M1(z, fkind, a, b, r), bounds.n_max)
-                    scalars = gf.build(gf.R1(z, fkind, a, b), bounds.n_max)
-                    for n in range(bounds.n_max + 1):
-                        closed = cf.hpoly("h", n, z, r, fkind, a, b)
-                        yield (_m_inputs(n, r, z, fkind, a, b),
-                               built.coefficient(n), closed)
-                        plain = CPoly.zero()
-                        for j in range(n + 1):
-                            weight = scalars.coefficient(n - j) * binom(n, j)
-                            plain = plain + cf.npoly(j) * weight
-                        inputs = _m_inputs(n, r, z, fkind, a, b)
-                        inputs["route"] = "u=0"
-                        yield (inputs, _zero_u(closed, r), plain)
-
-
-@_register("h_average", _GRID_BOUNDS)
-def _h_average(bounds: Bounds) -> Iterator[Comparison]:
-    """The plain family is the average of the conjugate-sum and
-    conjugate-difference families (series vs closed forms)."""
-    for r in range(1, bounds.r_max + 1):
-        for z in bounds.z_values:
-            for fkind, a in _kernel_grid(bounds):
-                for b in bounds.b_values:
-                    b = Fraction(b)
-                    built = gf.build(gf.M1(z, fkind, a, b, r), bounds.n_max)
-                    for n in range(bounds.n_max + 1):
-                        avg = (cf.hpoly("h1", n, z, r, fkind, a, b)
-                               + cf.hpoly("h2", n, z, r, fkind, a, b)
-                               ) * Fraction(1, 2)
-                        yield (_m_inputs(n, r, z, fkind, a, b),
-                               built.coefficient(n), avg)
-
-
-@_register("thm_2_3", _GRID_BOUNDS)
-def _thm_2_3(bounds: Bounds) -> Iterator[Comparison]:
-    """Doubled cosine-side kernel family: series route against the
-    closed convolution with scalar kernel polynomials."""
-    for r in range(1, bounds.r_max + 1):
-        for z in bounds.z_values:
-            for fkind, a in _kernel_grid(bounds):
-                for b in bounds.b_values:
-                    b = Fraction(b)
-                    built = gf.build(gf.Bform(z, fkind, a, b, r),
-                                     bounds.n_max)
-                    for n in range(bounds.n_max + 1):
-                        yield (_m_inputs(n, r, z, fkind, a, b),
-                               built.coefficient(n),
-                               cf.frak_h(1, n, z, r, fkind, a, b))
-
-
-@_register("thm_2_4", _GRID_BOUNDS)
-def _thm_2_4(bounds: Bounds) -> Iterator[Comparison]:
-    """Sine-side analogue of thm_2_3."""
-    for r in range(1, bounds.r_max + 1):
-        for z in bounds.z_values:
-            for fkind, a in _kernel_grid(bounds):
-                for b in bounds.b_values:
-                    b = Fraction(b)
-                    built = gf.build(gf.B1form(z, fkind, a, b, r),
-                                     bounds.n_max)
-                    for n in range(bounds.n_max + 1):
-                        yield (_m_inputs(n, r, z, fkind, a, b),
-                               built.coefficient(n),
-                               cf.frak_h(2, n, z, r, fkind, a, b))
+# nk1/nk2/nk3: series route of the value+conjugate, value-minus-conjugate
+# and plain kernel-weighted families against their closed convolutions,
+# plus the all-zero-u specialization against plain powers of w.
+_grid_check("nk1", gf.M2, lambda *p: cf.hpoly("h1", *p),
+            lambda j: cf.npoly(j) + cf.npoly(j, True))
+_grid_check("nk2", gf.M3, lambda *p: cf.hpoly("h2", *p),
+            lambda j: cf.npoly(j) - cf.npoly(j, True))
+_grid_check("nk3", gf.M1, lambda *p: cf.hpoly("h", *p),
+            lambda j: cf.npoly(j))
+# The plain family is the average of the conjugate-sum and
+# conjugate-difference families (series vs closed forms).
+_grid_check("h_average", gf.M1,
+            lambda *p: (cf.hpoly("h1", *p) + cf.hpoly("h2", *p))
+            * Fraction(1, 2))
+# Doubled cosine-side (thm_2_3) and sine-side (thm_2_4) kernel families:
+# series route against the closed convolution with scalar kernel
+# polynomials.
+_grid_check("thm_2_3", gf.Bform, lambda *p: cf.frak_h(1, *p))
+_grid_check("thm_2_4", gf.B1form, lambda *p: cf.frak_h(2, *p))
 
 
 def _reduction_inputs(n: int, z: int, a) -> dict:
     return {"n": n, "z": z, "a": a, "r": 2}
 
 
-@_register("bernl_reduction", Bounds(n_max=10))
-def _bernl_reduction(bounds: Bounds) -> Iterator[Comparison]:
-    """With all u variables zero and b = 0, the doubled cosine-side
-    family collapses to twice the cosine-weighted Bernoulli-type value."""
-    for z in bounds.z_values:
-        for a in bounds.a_values:
-            a = Fraction(a)
-            for n in range(bounds.n_max + 1):
-                lhs = _zero_u(cf.frak_h(1, n, z, 2, "bernoulli", a, 0), 2)
-                rhs = cf.parametric_apostol("BC", n, z, a) * 2
-                yield (_reduction_inputs(n, z, a), lhs, rhs)
+def _reduction_checks(name: str, kind: str, form, cs_kind: str) -> None:
+    """Register ``name``_reduction and ``name``_double_sum.
+
+    With all u variables zero and b = 0, the doubled kernel family
+    ``form`` (Bform: cosine side, B1form: sine side) with Bernoulli-type
+    kernel parameter a (kind "B") or -a (kind "E") collapses to a
+    weighted Apostol-type value of that kind.  The reduction compares the
+    closed form with the cosine ("C") or sine ("S") weighted value; the
+    double sum compares the series route with that value written out as
+    the explicit alternating y-sum.
+    """
+    sign = 1 if kind == "B" else -1
+    frak_kind = 1 if form is gf.Bform else 2
+    parity = ("C", "S").index(cs_kind)
+
+    def factor(z: int) -> Fraction:
+        return Fraction(2) if kind == "B" else Fraction((-1) ** z,
+                                                        2 ** (z - 1))
+
+    def weighted(fn, fn_kind: str, m: int, z: int, a: Fraction) -> MultiPoly:
+        """fn(fn_kind, m, z, a) for "B"; for "E" the falling-factorial
+        multiple falling(m, z) * fn(fn_kind, m - z, z, a)."""
+        if kind == "B":
+            return fn(fn_kind, m, z, a)
+        fall = falling(m, z)
+        return fn(fn_kind, m - z, z, a) * fall if fall else MultiPoly.zero()
+
+    @_register(f"{name}_reduction", Bounds(n_max=10))
+    def reduction(bounds: Bounds) -> Iterator[Comparison]:
+        for z in bounds.z_values:
+            for a in bounds.a_values:
+                a = Fraction(a)
+                for n in range(bounds.n_max + 1):
+                    lhs = _zero_u(cf.frak_h(frak_kind, n, z, 2, "bernoulli",
+                                            sign * a, 0), 2)
+                    rhs = weighted(cf.parametric_apostol, kind + cs_kind,
+                                   n, z, a) * factor(z)
+                    yield (_reduction_inputs(n, z, a), lhs, rhs)
+
+    @_register(f"{name}_double_sum", Bounds(n_max=10))
+    def double_sum(bounds: Bounds) -> Iterator[Comparison]:
+        for z in bounds.z_values:
+            for a in bounds.a_values:
+                a = Fraction(a)
+                built = gf.build(form(z, "bernoulli", sign * a, Fraction(0),
+                                      2), bounds.n_max)
+                for n in range(bounds.n_max + 1):
+                    lhs = _zero_u(built.coefficient(n), 2)
+                    rhs = cf.y_parity_sum(
+                        n, parity,
+                        lambda m: weighted(cf.apostol, kind, m, z, a)
+                    ) * factor(z)
+                    yield (_reduction_inputs(n, z, a), lhs, rhs)
 
 
-@_register("bernl_double_sum", Bounds(n_max=10))
-def _bernl_double_sum(bounds: Bounds) -> Iterator[Comparison]:
-    """Series route of bernl_reduction: the generating function with
-    u = 0 against the explicit alternating double sum."""
-    for z in bounds.z_values:
-        for a in bounds.a_values:
-            a = Fraction(a)
-            built = gf.build(gf.Bform(z, "bernoulli", a, Fraction(0), 2),
-                             bounds.n_max)
-            for n in range(bounds.n_max + 1):
-                lhs = _zero_u(built.coefficient(n), 2)
-                rhs = MultiPoly.zero()
-                for j in range(n // 2 + 1):
-                    coef = Fraction(2 * (-1) ** j * binom(n, 2 * j))
-                    rhs = rhs + (MultiPoly.monomial({"y": 2 * j}, coef)
-                                 * cf.apostol("B", n - 2 * j, z, a))
-                yield (_reduction_inputs(n, z, a), lhs, rhs)
-
-
-@_register("euler_reduction", Bounds(n_max=10))
-def _euler_reduction(bounds: Bounds) -> Iterator[Comparison]:
-    """Negating the kernel parameter turns the Bernoulli-type kernel
-    into a scaled Euler-type one: closed form against the
-    falling-factorial multiple of the cosine-weighted Euler value."""
-    for z in bounds.z_values:
-        for a in bounds.a_values:
-            a = Fraction(a)
-            for n in range(bounds.n_max + 1):
-                lhs = _zero_u(cf.frak_h(1, n, z, 2, "bernoulli", -a, 0), 2)
-                fall = falling(n, z)
-                if fall == 0:
-                    rhs = MultiPoly.zero()
-                else:
-                    scale = Fraction((-1) ** z * fall, 2 ** (z - 1))
-                    rhs = cf.parametric_apostol("EC", n - z, z, a) * scale
-                yield (_reduction_inputs(n, z, a), lhs, rhs)
-
-
-@_register("euler_double_sum", Bounds(n_max=10))
-def _euler_double_sum(bounds: Bounds) -> Iterator[Comparison]:
-    """Series route of euler_reduction against the explicit double sum
-    with falling-factorial weights."""
-    for z in bounds.z_values:
-        for a in bounds.a_values:
-            a = Fraction(a)
-            built = gf.build(gf.Bform(z, "bernoulli", -a, Fraction(0), 2),
-                             bounds.n_max)
-            for n in range(bounds.n_max + 1):
-                lhs = _zero_u(built.coefficient(n), 2)
-                rhs = MultiPoly.zero()
-                for j in range(n // 2 + 1):
-                    fall = falling(n - 2 * j, z)
-                    if fall == 0:
-                        continue
-                    coef = Fraction((-1) ** j * binom(n, 2 * j) * fall)
-                    rhs = rhs + (MultiPoly.monomial({"y": 2 * j}, coef)
-                                 * cf.apostol("E", n - 2 * j - z, z, a))
-                rhs = rhs * Fraction((-1) ** z, 2 ** (z - 1))
-                yield (_reduction_inputs(n, z, a), lhs, rhs)
-
-
-@_register("mbs_reduction", Bounds(n_max=10))
-def _mbs_reduction(bounds: Bounds) -> Iterator[Comparison]:
-    """Sine-side analogue of bernl_reduction."""
-    for z in bounds.z_values:
-        for a in bounds.a_values:
-            a = Fraction(a)
-            for n in range(bounds.n_max + 1):
-                lhs = _zero_u(cf.frak_h(2, n, z, 2, "bernoulli", a, 0), 2)
-                rhs = cf.parametric_apostol("BS", n, z, a) * 2
-                yield (_reduction_inputs(n, z, a), lhs, rhs)
-
-
-@_register("mbs_double_sum", Bounds(n_max=10))
-def _mbs_double_sum(bounds: Bounds) -> Iterator[Comparison]:
-    """Series route of mbs_reduction against the odd double sum."""
-    for z in bounds.z_values:
-        for a in bounds.a_values:
-            a = Fraction(a)
-            built = gf.build(gf.B1form(z, "bernoulli", a, Fraction(0), 2),
-                             bounds.n_max)
-            for n in range(bounds.n_max + 1):
-                lhs = _zero_u(built.coefficient(n), 2)
-                rhs = MultiPoly.zero()
-                for j in range((n - 1) // 2 + 1):
-                    coef = Fraction(2 * (-1) ** j * binom(n, 2 * j + 1))
-                    rhs = rhs + (MultiPoly.monomial({"y": 2 * j + 1}, coef)
-                                 * cf.apostol("B", n - 1 - 2 * j, z, a))
-                yield (_reduction_inputs(n, z, a), lhs, rhs)
-
-
-@_register("mes_reduction", Bounds(n_max=10))
-def _mes_reduction(bounds: Bounds) -> Iterator[Comparison]:
-    """Sine-side analogue of euler_reduction."""
-    for z in bounds.z_values:
-        for a in bounds.a_values:
-            a = Fraction(a)
-            for n in range(bounds.n_max + 1):
-                lhs = _zero_u(cf.frak_h(2, n, z, 2, "bernoulli", -a, 0), 2)
-                fall = falling(n, z)
-                if fall == 0:
-                    rhs = MultiPoly.zero()
-                else:
-                    scale = Fraction((-1) ** z * fall, 2 ** (z - 1))
-                    rhs = cf.parametric_apostol("ES", n - z, z, a) * scale
-                yield (_reduction_inputs(n, z, a), lhs, rhs)
-
-
-@_register("mes_double_sum", Bounds(n_max=10))
-def _mes_double_sum(bounds: Bounds) -> Iterator[Comparison]:
-    """Series route of mes_reduction against the odd double sum with
-    falling-factorial weights."""
-    for z in bounds.z_values:
-        for a in bounds.a_values:
-            a = Fraction(a)
-            built = gf.build(gf.B1form(z, "bernoulli", -a, Fraction(0), 2),
-                             bounds.n_max)
-            for n in range(bounds.n_max + 1):
-                lhs = _zero_u(built.coefficient(n), 2)
-                rhs = MultiPoly.zero()
-                for j in range((n - 1) // 2 + 1):
-                    fall = falling(n - 1 - 2 * j, z)
-                    if fall == 0:
-                        continue
-                    coef = Fraction((-1) ** j * binom(n, 2 * j + 1) * fall)
-                    rhs = rhs + (MultiPoly.monomial({"y": 2 * j + 1}, coef)
-                                 * cf.apostol("E", n - 1 - 2 * j - z, z, a))
-                rhs = rhs * Fraction((-1) ** z, 2 ** (z - 1))
-                yield (_reduction_inputs(n, z, a), lhs, rhs)
+_reduction_checks("bernl", "B", gf.Bform, "C")
+_reduction_checks("euler", "E", gf.Bform, "C")
+_reduction_checks("mbs", "B", gf.B1form, "S")
+_reduction_checks("mes", "E", gf.B1form, "S")
 
 
 # ======================================================================
@@ -605,14 +432,10 @@ def _p1p2_r1a_l1a(bounds: Bounds) -> Iterator[Comparison]:
     powers of w against cosine/sine convolutions."""
     for r in range(1, bounds.r_max + 1):
         for n in range(bounds.n_max + 1):
-            rhs_c = MultiPoly.zero()
-            rhs_s = MultiPoly.zero()
-            for j in range(n + 1):
-                weight = binom(n, j)
-                rhs_c = rhs_c + (cf.hermite_gen(j, r)
-                                 * cf.cs_poly("C", n - j) * weight)
-                rhs_s = rhs_s + (cf.hermite_gen(j, r)
-                                 * cf.cs_poly("S", n - j) * weight)
+            rhs_c = cf.binomial_convolution(
+                n, lambda j: cf.cs_poly("C", j), _hermite(r))
+            rhs_s = cf.binomial_convolution(
+                n, lambda j: cf.cs_poly("S", j), _hermite(r))
             yield ({"n": n, "r": r, "part": "real"},
                    cf.ppoly("P1", n, r), rhs_c)
             yield ({"n": n, "r": r, "part": "imag"},
@@ -625,17 +448,13 @@ def _p3p4_chebyshev(bounds: Bounds) -> Iterator[Comparison]:
     Chebyshev convolutions, with the sine side an exact s-cofactor."""
     for r in range(1, bounds.r_max + 1):
         for n in range(bounds.n_max + 1):
-            rhs_t = MultiPoly.zero()
-            for j in range(n + 1):
-                rhs_t = rhs_t + (cf.hermite_gen(j, r)
-                                 * cf.chebyshev("T", n - j) * binom(n, j))
+            rhs_t = cf.binomial_convolution(
+                n, lambda j: cf.chebyshev("T", j), _hermite(r))
             yield ({"n": n, "r": r, "part": "first-kind"},
                    cf.ppoly("P3", n, r), rhs_t.reduce_s())
             if n >= 1:
-                rhs_u = MultiPoly.zero()
-                for j in range(n):
-                    rhs_u = rhs_u + (cf.hermite_gen(j, r)
-                                     * cf.chebyshev("U", n - j) * binom(n, j))
+                rhs_u = cf.binomial_convolution(
+                    n, lambda j: cf.chebyshev("U", j), _hermite(r), lo=1)
                 yield ({"n": n, "r": r, "part": "second-kind"},
                        cf.ppoly("P4", n, r), rhs_u.reduce_s())
 
@@ -659,12 +478,17 @@ def _ct_su(bounds: Bounds) -> Iterator[Comparison]:
                    cf.npoly(n).im.substitute("y", _S).reduce_s(), u_target)
 
 
+def _dickson_2x(kind: str, n: int) -> MultiPoly:
+    """The Dickson value at alpha = 1 and doubled argument."""
+    return cf.dickson(kind, n, 1).substitute("x", X * 2)
+
+
 @_register("dickson_ct", Bounds(n_max=16))
 def _dickson_ct(bounds: Bounds) -> Iterator[Comparison]:
     """First-kind Dickson values at doubled argument against twice the
     cosine value at y = s."""
     for n in range(bounds.n_max + 1):
-        lhs = cf.dickson("D", n, 1).substitute("x", X * 2).reduce_s()
+        lhs = _dickson_2x("D", n).reduce_s()
         rhs = (cf.cs_poly("C", n).substitute("y", _S) * 2).reduce_s()
         yield ({"n": n}, lhs, rhs)
 
@@ -674,8 +498,7 @@ def _dickson_su(bounds: Bounds) -> Iterator[Comparison]:
     """Second-kind Dickson values at doubled argument against the sine
     value at y = s, in cleared (s-multiplied) form."""
     for n in range(1, bounds.n_max + 1):
-        lhs = (_S * cf.dickson("E", n - 1, 1).substitute("x", X * 2)
-               ).reduce_s()
+        lhs = (_S * _dickson_2x("E", n - 1)).reduce_s()
         rhs = cf.cs_poly("S", n).substitute("y", _S).reduce_s()
         yield ({"n": n}, lhs, rhs)
 
@@ -698,11 +521,9 @@ def _ut_convolution(bounds: Bounds) -> Iterator[Comparison]:
     built = gf.build(gf.ChebyshevU(), bounds.n_max)
     for n in range(1, bounds.n_max + 1):
         lhs = built.coefficient(n - 1)
-        rhs = MultiPoly.zero()
-        for j in range(1, n + 1):
-            rhs = rhs + (cf.chebyshev("U", j) * cf.chebyshev("T", n - j)
-                         * binom(n, j))
-        rhs = rhs * Fraction(1, 2 ** (n - 1))
+        rhs = cf.binomial_convolution(
+            n, lambda j: cf.chebyshev("U", j),
+            lambda m: cf.chebyshev("T", m), lo=1) * Fraction(1, 2 ** (n - 1))
         yield ({"n": n}, lhs, rhs)
 
 
@@ -712,78 +533,49 @@ def _dickson_ut(bounds: Bounds) -> Iterator[Comparison]:
     built = gf.build(gf.DicksonE(Fraction(1)), bounds.n_max)
     for n in range(1, bounds.n_max + 1):
         lhs = built.coefficient(n - 1).substitute("x", X * 2)
-        rhs = MultiPoly.zero()
-        for j in range(1, n + 1):
-            rhs = rhs + (cf.dickson("E", j - 1, 1).substitute("x", X * 2)
-                         * cf.dickson("D", n - j, 1).substitute("x", X * 2)
-                         * binom(n, j))
-        rhs = rhs * Fraction(1, 2 ** n)
+        rhs = cf.binomial_convolution(
+            n, lambda j: _dickson_2x("E", j - 1),
+            lambda m: _dickson_2x("D", m), lo=1) * Fraction(1, 2 ** n)
         yield ({"n": n}, lhs, rhs)
 
 
-@_register("ect_esu", Bounds(n_max=16))
-def _ect_esu(bounds: Bounds) -> Iterator[Comparison]:
-    """Euler-weighted cosine/sine values at y = s against Chebyshev
-    convolutions with the Euler number sequence."""
-    for n in range(bounds.n_max + 1):
-        lhs_c = cf.parametric_apostol("EC", n, 1, 1).substitute(
-            "y", _S).reduce_s()
-        rhs_c = MultiPoly.zero()
-        for j in range(n + 1):
-            rhs_c = rhs_c + (cf.chebyshev("T", j)
-                             * (binom(n, j) * cf.euler_number(n - j)))
-        yield ({"n": n, "part": "cos"}, lhs_c, rhs_c.reduce_s())
-        lhs_s = cf.parametric_apostol("ES", n, 1, 1).substitute(
-            "y", _S).reduce_s()
-        rhs_s = MultiPoly.zero()
-        for j in range(1, n + 1):
-            rhs_s = rhs_s + (cf.chebyshev("U", j)
-                             * (binom(n, j) * cf.euler_number(n - j)))
-        yield ({"n": n, "part": "sin"}, lhs_s, (_S * rhs_s).reduce_s())
+def _number_weighted_check(check_id: str, numbers, cos_side, sin_side,
+                           cos_scale: Fraction = Fraction(1)) -> None:
+    """Register: at y = s, the cosine/sine-weighted Apostol-type values
+    of order 1 at a = 1 against binomial convolutions of number
+    sequences with ``cos_side(j)`` (j >= 0, scaled by ``cos_scale``) and
+    with ``sin_side(j)`` (j >= 1, times s).  ``numbers`` lists
+    (kind, number sequence, part-label prefix) rows."""
+    @_register(check_id, Bounds(n_max=16))
+    def gen(bounds: Bounds) -> Iterator[Comparison]:
+        for n in range(bounds.n_max + 1):
+            for kind, number, label in numbers:
+                lhs_c = cf.parametric_apostol(kind + "C", n, 1, 1).substitute(
+                    "y", _S).reduce_s()
+                rhs_c = cf.binomial_convolution(n, cos_side, number)
+                yield ({"n": n, "part": label + "cos"},
+                       lhs_c, (rhs_c * cos_scale).reduce_s())
+                lhs_s = cf.parametric_apostol(kind + "S", n, 1, 1).substitute(
+                    "y", _S).reduce_s()
+                rhs_s = cf.binomial_convolution(n, sin_side, number, lo=1)
+                yield ({"n": n, "part": label + "sin"},
+                       lhs_s, (_S * rhs_s).reduce_s())
 
 
-@_register("bct_bsu", Bounds(n_max=16))
-def _bct_bsu(bounds: Bounds) -> Iterator[Comparison]:
-    """Bernoulli-number analogue of ect_esu."""
-    for n in range(bounds.n_max + 1):
-        lhs_c = cf.parametric_apostol("BC", n, 1, 1).substitute(
-            "y", _S).reduce_s()
-        rhs_c = MultiPoly.zero()
-        for j in range(n + 1):
-            rhs_c = rhs_c + (cf.chebyshev("T", j)
-                             * (binom(n, j) * cf.bernoulli_number(n - j)))
-        yield ({"n": n, "part": "cos"}, lhs_c, rhs_c.reduce_s())
-        lhs_s = cf.parametric_apostol("BS", n, 1, 1).substitute(
-            "y", _S).reduce_s()
-        rhs_s = MultiPoly.zero()
-        for j in range(1, n + 1):
-            rhs_s = rhs_s + (cf.chebyshev("U", j)
-                             * (binom(n, j) * cf.bernoulli_number(n - j)))
-        yield ({"n": n, "part": "sin"}, lhs_s, (_S * rhs_s).reduce_s())
-
-
-@_register("dickson_ect_bct", Bounds(n_max=16))
-def _dickson_ect_bct(bounds: Bounds) -> Iterator[Comparison]:
-    """Dickson forms of the four number-weighted convolutions."""
-    for n in range(bounds.n_max + 1):
-        for kind, number in (("E", cf.euler_number),
-                             ("B", cf.bernoulli_number)):
-            lhs_c = cf.parametric_apostol(kind + "C", n, 1, 1).substitute(
-                "y", _S).reduce_s()
-            rhs_c = MultiPoly.zero()
-            for j in range(n + 1):
-                rhs_c = rhs_c + (cf.dickson("D", j, 1).substitute("x", X * 2)
-                                 * (binom(n, j) * number(n - j)))
-            yield ({"n": n, "part": kind + "-cos"},
-                   lhs_c, (rhs_c * Fraction(1, 2)).reduce_s())
-            lhs_s = cf.parametric_apostol(kind + "S", n, 1, 1).substitute(
-                "y", _S).reduce_s()
-            rhs_s = MultiPoly.zero()
-            for j in range(1, n + 1):
-                rhs_s = rhs_s + (cf.dickson("E", j - 1, 1).substitute(
-                    "x", X * 2) * (binom(n, j) * number(n - j)))
-            yield ({"n": n, "part": kind + "-sin"},
-                   lhs_s, (_S * rhs_s).reduce_s())
+# Euler- and Bernoulli-weighted cosine/sine values at y = s against
+# Chebyshev convolutions with the number sequences, and the Dickson forms
+# of all four.
+_number_weighted_check("ect_esu", (("E", cf.euler_number, ""),),
+                       lambda j: cf.chebyshev("T", j),
+                       lambda j: cf.chebyshev("U", j))
+_number_weighted_check("bct_bsu", (("B", cf.bernoulli_number, ""),),
+                       lambda j: cf.chebyshev("T", j),
+                       lambda j: cf.chebyshev("U", j))
+_number_weighted_check("dickson_ect_bct",
+                       (("E", cf.euler_number, "E-"),
+                        ("B", cf.bernoulli_number, "B-")),
+                       lambda j: _dickson_2x("D", j),
+                       lambda j: _dickson_2x("E", j - 1), Fraction(1, 2))
 
 
 @_register("derivative_block", Bounds(n_max=16))

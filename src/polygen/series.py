@@ -36,6 +36,11 @@ Coef = Union[MultiPoly, CPoly]
 
 CONVENTIONS = ("egf", "ogf")
 
+#: Largest truncation order (POLYGEN_ORDER, ``series --order``) and
+#: largest table index (``table``/``expand --n``) the program accepts
+#: from outside; past it exact arithmetic runs for minutes or more.
+ORDER_LIMIT = 100
+
 
 def default_order() -> int:
     """Truncation order used when none is given.
@@ -50,6 +55,9 @@ def default_order() -> int:
         raise UsageError(f"POLYGEN_ORDER must be an integer, got {raw!r}") from exc
     if order < 0:
         raise UsageError("POLYGEN_ORDER must be non-negative")
+    if order > ORDER_LIMIT:
+        raise RangeError(f"POLYGEN_ORDER must be at most {ORDER_LIMIT}, "
+                         f"got {order}")
     return order
 
 

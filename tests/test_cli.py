@@ -1,10 +1,11 @@
 """End-to-end command tests driven through cli.main()."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from polygen import cli, closedform
+from polygen import cli, closedform, series
 from polygen import genfun as gf
 from polygen.exact import CPoly
 from polygen.series import TruncSeries
@@ -166,6 +167,26 @@ def test_exit_codes(capsys):
     assert code == 2
 
 
+def test_size_caps_refuse_at_once(capsys, monkeypatch):
+    # every size from outside is capped before any computation starts;
+    # uncapped, the first request runs for hours
+    limit = series.ORDER_LIMIT
+    assert limit >= 80  # the largest requests the benchmark makes
+    for argv in (("table", "--family", "chebyshev-t", "--n", "0..100000"),
+                 ("expand", "--family", "chebyshev-t", "--n", str(limit + 1)),
+                 ("series", "--family", "chebyshev-t",
+                  "--order", str(limit + 1))):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert f"at most {limit}" in err
+    monkeypatch.setenv("POLYGEN_ORDER", str(limit + 1))
+    code, out, err = run(capsys, "series", "--family", "chebyshev-t")
+    assert code == 2 and out == "" and "POLYGEN_ORDER" in err
+    code, out, _ = run(capsys, "expand", "--family", "chebyshev-t",
+                       "--n", str(limit))
+    assert code == 0 and out.startswith(f"{2 ** (limit - 1)}*x^{limit} ")
+
+
 def test_check_failure_exit_code(capsys, monkeypatch):
     from polygen import identities as ids
     from polygen.exact import MultiPoly
@@ -191,3 +212,11 @@ def test_determinism(capsys):
     second = run(capsys, "table", "--family", "m1", "--n", "0..4",
                  "--format", "json")
     assert first == second
+
+
+def test_check_all_json_is_golden(capsys):
+    # the catalog report must stay byte-identical across refactors
+    golden = Path(__file__).parent / "data" / "check_all.json"
+    code, out, err = run(capsys, "check", "--suite", "all", "--format", "json")
+    assert code == 0 and err == ""
+    assert out.encode() == golden.read_bytes()

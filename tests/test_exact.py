@@ -54,6 +54,17 @@ def test_float_rejection():
         X.substitute("x", 0.25)
 
 
+def test_bool_rejection():
+    for make in (lambda: MultiPoly.const(True),
+                 lambda: MultiPoly.monomial({"x": 1}, False),
+                 lambda: X * True, lambda: X + True, lambda: CPoly.real(True)):
+        with pytest.raises(UsageError):
+            make()
+    # like a float, a bool compares unequal instead of raising
+    assert MultiPoly.const(1) != True  # noqa: E712
+    assert CPoly.real(X) != False  # noqa: E712
+
+
 def test_s_reduction():
     assert (S * S).reduce_s() == MultiPoly.const(1, True) - (
         X * X).reduce_s()
@@ -227,6 +238,33 @@ def test_no_zero_coefficient_stored(p, q, var, c, reduced):
                    p.substitute(var, c), p - p.substitute(var, 0)):
         coefs = [t["coef"] for t in result.to_json_dict()["terms"]]
         assert "0" not in coefs
+
+
+@st.composite
+def _two_forms(draw):
+    """Two representations of one value: MultiPoly, CPoly.real, and for a
+    constant also its Fraction and, when integral, its int."""
+    p = draw(st.one_of(polys(), _coefs.map(MultiPoly.const)))
+    if draw(st.booleans()):
+        p = p.reduce_s()
+    forms = [p, CPoly.real(p)]
+    c = p.const_value()
+    if c is not None:
+        forms.append(c)
+        if c.denominator == 1:
+            forms.append(int(c))
+    return [draw(st.sampled_from(forms)) for _ in range(2)]
+
+
+@given(_two_forms(), _two_forms())
+@settings(max_examples=80, deadline=None)
+def test_equal_values_hash_equal(first, second):
+    values = first + second
+    for a in values:
+        for b in values:
+            if a == b:
+                assert hash(a) == hash(b), (a, b)
+    assert len({first[0], first[1]}) == 1
 
 
 def test_cpoly_times_poly_checks_reduced_flag():

@@ -3,9 +3,12 @@ reporting, and a fast pass over every suite at reduced depth."""
 
 import dataclasses
 import json
+from fractions import Fraction
 
 import pytest
 
+from polygen import closedform as cf
+from polygen import genfun as gf
 from polygen import identities as ids
 from polygen.errors import UsageError
 from polygen.exact import MultiPoly
@@ -84,6 +87,52 @@ def test_counterexample_reporting():
         del ids.CHECKS["always_wrong"]
         del ids.DEFAULTS["always_wrong"]
     assert "always_wrong" not in ids.check_ids()
+
+
+_SHALLOW = ids.Bounds(n_max=3, r_max=1, z_values=(1,),
+                      a_values=(Fraction(2),), b_values=(Fraction(1),))
+
+
+def _mismatched_reports(register, check_ids):
+    """Register a deliberately mismatched table row, run its checks at
+    shallow bounds, then remove the row again."""
+    try:
+        register()
+        return [ids.run_check(check_id, _SHALLOW) for check_id in check_ids]
+    finally:
+        for check_id in check_ids:
+            ids.CHECKS.pop(check_id, None)
+            ids.DEFAULTS.pop(check_id, None)
+
+
+@pytest.mark.parametrize("register, check_ids, route", [
+    (lambda: ids._kernel_series_check("bad_kernel", gf.K1Kernel, "k2"),
+     ["bad_kernel"], None),
+    (lambda: ids._kernel_convolution_check("bad_kconv", "k1", "S"),
+     ["bad_kconv"], None),
+    (lambda: ids._grid_check("bad_grid", gf.M2,
+                             lambda *p: cf.hpoly("h2", *p)),
+     ["bad_grid"], None),
+    # right closed form, wrong sign on the conjugate of the u = 0 leg
+    (lambda: ids._grid_check("bad_u0", gf.M2, lambda *p: cf.hpoly("h1", *p),
+                             lambda j: cf.npoly(j) - cf.npoly(j, True)),
+     ["bad_u0"], "u=0"),
+    (lambda: ids._reduction_checks("bad", "B", gf.B1form, "C"),
+     ["bad_reduction", "bad_double_sum"], None),
+    (lambda: ids._number_weighted_check(
+        "bad_numbers", (("E", cf.bernoulli_number, ""),),
+        lambda j: cf.chebyshev("T", j), lambda j: cf.chebyshev("U", j)),
+     ["bad_numbers"], None),
+])
+def test_mismatched_table_row_fails(register, check_ids, route):
+    # a generator that yields nothing would pass vacuously
+    for report in _mismatched_reports(register, check_ids):
+        assert not report.passed
+        ce = report.counterexample
+        assert ce["lhs"] != ce["rhs"]
+        assert ce["inputs"].get("route") == route
+    for check_id in check_ids:
+        assert check_id not in ids.CHECKS and check_id not in ids.DEFAULTS
 
 
 def test_run_suite_shallow():
