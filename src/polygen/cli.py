@@ -104,12 +104,6 @@ def _family(name, params=(), series_fn=None, closed_fn=None, aliases=()):
         _FAMILIES[alias] = entry
 
 
-def _r1_values(n: int, p: dict):
-    ser = gf.build(gf.R1(p["z"], p["fkind"], p["a"], p["b"]), max(n, 0))
-    value = ser.coefficient(n)
-    return value if isinstance(value, MultiPoly) else MultiPoly.const(value)
-
-
 _family("apostol-bernoulli", (_K, _LAM),
         lambda p: gf.ApostolBernoulli(p["k"], p["lambda"]),
         lambda n, p: cf.apostol("B", n, p["k"], p["lambda"]))
@@ -173,7 +167,8 @@ _family("nw", (), lambda p: gf.Nw(), lambda n, p: cf.npoly(n),
         aliases=("np",))
 _family("r1", (_Z, _FKIND, _A, _B),
         lambda p: gf.R1(p["z"], p["fkind"], p["a"], p["b"]),
-        _r1_values)
+        lambda n, p: MultiPoly.const(cf.kernel_power_numbers(
+            p["z"], p["fkind"], p["a"], p["b"], n)[n]))
 _family("p1", (_R,), None, lambda n, p: cf.ppoly("P1", n, p["r"]))
 _family("p2", (_R,), None, lambda n, p: cf.ppoly("P2", n, p["r"]))
 _family("p3", (_R,), None, lambda n, p: cf.ppoly("P3", n, p["r"]))
@@ -202,6 +197,8 @@ def _collect_params(family: Family, args: argparse.Namespace) -> dict:
         elif kind == "rational":
             params[flag] = _parse_rational(raw)
         else:
+            if flag in ("k", "z"):
+                _check_size(f"|--{flag}|", abs(raw))
             params[flag] = raw
     return params
 

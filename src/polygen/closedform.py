@@ -3,11 +3,10 @@
 Each function here builds a polynomial directly from a finite sum,
 recurrence, or convolution — never by extracting coefficients of the
 corresponding generating function — so the two routes can be compared
-against each other as independent oracles.  The single sanctioned
-exception is :func:`_y6_numbers`: the scalar coefficient sequence of
-the kernel power (b + f(t,a))**z has no simpler description than its
-series, so closed forms that need it pull it from the series engine
-once and then convolve explicitly.
+against each other as independent oracles.  The scalar numbers of
+the kernel power (b + f(t,a))**z come from the same binomial
+recurrences and convolutions as the Apostol-type numbers
+(:func:`kernel_power_numbers`), not from the kernel's series.
 
 Conventions worth noting:
 
@@ -26,7 +25,6 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from . import genfun
 from .errors import RangeError, SingularityError, UsageError
 from .exact import CPoly, MultiPoly, Rational, U, X, binom
 
@@ -287,16 +285,26 @@ def _binomial_inverse(a: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
+def _apostol_numbers(kind: str, k: int, lam: Fraction, count: int,
+                     shift: Fraction = Fraction(0)) -> tuple[Fraction, ...]:
+    """Numbers of (shift + kernel)**k for the Bernoulli ("B") or Euler
+    ("E") kernel, indices 0..count.  Entry n depends only on entries
+    0..n, so every count is served as a prefix of one sequence built up
+    to the next 2^m - 1, and a table over n builds no sequence per row."""
+    return _apostol_sequence(kind, k, lam, shift,
+                             (1 << count.bit_length()) - 1)[:count + 1]
+
+
 @lru_cache(maxsize=None)
-def _apostol_numbers(kind: str, k: int, lam: Fraction,
-                     count: int) -> tuple[Fraction, ...]:
-    """Order-k numbers for the Bernoulli ("B") or Euler ("E") kernel."""
+def _apostol_sequence(kind: str, k: int, lam: Fraction, shift: Fraction,
+                      count: int) -> tuple[Fraction, ...]:
     if kind == "B":
         base = _base_bernoulli_numbers(lam, count)
     elif kind == "E":
         base = _base_euler_numbers(lam, count)
     else:
         raise UsageError(f"unknown kind {kind!r}; expected 'B' or 'E'")
+    base = (base[0] + shift,) + base[1:]
     identity = tuple(Fraction(1 if n == 0 else 0) for n in range(count + 1))
     if k == 0:
         return identity
@@ -306,6 +314,29 @@ def _apostol_numbers(kind: str, k: int, lam: Fraction,
     if k < 0:
         result = _binomial_inverse(result)
     return result
+
+
+def kernel_power_numbers(z: int, fkind: str, a: Rational, b: Rational,
+                         count: int) -> tuple[Fraction, ...]:
+    """Scalar numbers of (b + f(t,a))**z, indices 0..count, for the
+    kernel f = t/(a*e^t - 1) ("bernoulli") or 2/(a*e^t + 1) ("euler");
+    z < 0 is singular when b + f(0, a) = 0."""
+    _check_n(count)
+    if fkind not in ("bernoulli", "euler"):
+        raise UsageError(f"unknown kernel kind {fkind!r}; expected "
+                         f"'bernoulli' or 'euler'")
+    return _apostol_numbers(fkind[0].upper(), z, Fraction(a), count,
+                            Fraction(b))
+
+
+def _appell(nums: tuple[Fraction, ...], n: int) -> MultiPoly:
+    """sum_j binom(n, j) nums_j x^(n-j), the degree-n x-polynomial of a
+    number sequence."""
+    acc = MultiPoly.zero()
+    for j in range(n + 1):
+        if nums[j]:
+            acc = acc + MultiPoly.monomial({"x": n - j}, binom(n, j) * nums[j])
+    return acc
 
 
 def apostol(kind: str, n: int, k: int, lam: Rational) -> MultiPoly:
@@ -325,12 +356,7 @@ def apostol(kind: str, n: int, k: int, lam: Rational) -> MultiPoly:
         raise SingularityError(
             "negative-order Bernoulli-type values need lam = 1; the kernel "
             "t/(lam*e^t - 1) has no series inverse otherwise")
-    nums = _apostol_numbers(kind, k, lam, n)
-    acc = MultiPoly.zero()
-    for j in range(n + 1):
-        if nums[j]:
-            acc = acc + MultiPoly.monomial({"x": n - j}, binom(n, j) * nums[j])
-    return acc
+    return _appell(_apostol_numbers(kind, k, lam, n), n)
 
 
 @lru_cache(maxsize=None)
@@ -355,34 +381,10 @@ def parametric_apostol(kind: str, n: int, z: int, a: Rational) -> MultiPoly:
 
 
 @lru_cache(maxsize=None)
-def _y6_numbers(z: int, fkind: genfun.FKind, a: Rational, b: Rational,
-                count: int) -> tuple[Fraction, ...]:
-    """Scalar coefficient numbers of (b + f(t,a))**z, indices 0..count.
-
-    Pulled from the series engine: this sequence is *defined* by that
-    series, so there is no independent closed form to prefer.
-    """
-    built = genfun.build(genfun.R1(z, fkind, Fraction(a), Fraction(b)), count)
-    out = []
-    for m in range(count + 1):
-        value = built.coefficient(m)
-        const = value.const_value() if isinstance(value, MultiPoly) else None
-        if const is None:
-            raise UsageError("kernel power produced a non-scalar coefficient")
-        out.append(const)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _y6_poly(m: int, z: int, fkind: genfun.FKind, a: Rational,
-             b: Rational) -> MultiPoly:
-    """The x-polynomial value sum_i binom(m,i) num_i x^(m-i)."""
-    nums = _y6_numbers(z, fkind, a, b, m)
-    acc = MultiPoly.zero()
-    for i in range(m + 1):
-        if nums[i]:
-            acc = acc + MultiPoly.monomial({"x": m - i}, binom(m, i) * nums[i])
-    return acc
+def _kernel_poly(m: int, z: int, fkind: str, a: Rational,
+                 b: Rational) -> MultiPoly:
+    """The degree-m x-polynomial of the kernel-power numbers."""
+    return _appell(kernel_power_numbers(z, fkind, a, b, m), m)
 
 
 _H_VARIANTS = {"h": lambda k: k, "h1": lambda k: k + k.conj(),
@@ -390,7 +392,7 @@ _H_VARIANTS = {"h": lambda k: k, "h1": lambda k: k + k.conj(),
 
 
 @lru_cache(maxsize=None)
-def hpoly(kind: str, n: int, z: int, r: int, fkind: genfun.FKind,
+def hpoly(kind: str, n: int, z: int, r: int, fkind: str,
           a: Rational, b: Rational) -> CPoly:
     """Kernel-weighted complex kernel values.
 
@@ -402,27 +404,25 @@ def hpoly(kind: str, n: int, z: int, r: int, fkind: genfun.FKind,
     if kind not in _H_VARIANTS:
         raise UsageError(
             f"unknown kind {kind!r}; expected 'h', 'h1' or 'h2'")
-    nums = _y6_numbers(z, fkind, Fraction(a), Fraction(b), n)
+    nums = kernel_power_numbers(z, fkind, a, b, n)
     return binomial_convolution(
         n, lambda j: _H_VARIANTS[kind](kpoly("K", j, r)),
         lambda m: nums[m], zero=CPoly.zero())
 
 
 @lru_cache(maxsize=None)
-def frak_h(kind: int, n: int, z: int, r: int, fkind: genfun.FKind,
+def frak_h(kind: int, n: int, z: int, r: int, fkind: str,
            a: Rational, b: Rational) -> MultiPoly:
     """Kernel-weighted cosine (kind 1) or sine (kind 2) convolutions:
-    2 * sum_j binom(n,j) y6poly(n-j) * cs_r value at j."""
+    2 * sum_j binom(n,j) kernel_poly(n-j) * cs_r value at j."""
     _check_n(n)
     _check_r(r)
     if kind not in (1, 2):
         raise UsageError(f"unknown kind {kind!r}; expected 1 or 2")
-    a = Fraction(a)
-    b = Fraction(b)
     cs_kind = "C" if kind == 1 else "S"
     return binomial_convolution(
         n, lambda j: cs_r(cs_kind, j, r),
-        lambda m: _y6_poly(m, z, fkind, a, b)) * 2
+        lambda m: _kernel_poly(m, z, fkind, a, b)) * 2
 
 
 # ----------------------------------------------------------------------

@@ -220,8 +220,10 @@ class MultiPoly:
             return other.__eq__(self)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return (self.reduced_s == other.reduced_s
-                and self.terms == other.terms)
+        # a constant equals its value whatever its flag, as its hash does
+        return self.terms == other.terms and (
+            self.reduced_s == other.reduced_s
+            or self.const_value() is not None)
 
     def __hash__(self) -> int:
         # A constant equals its scalar value, so it must hash as that value.

@@ -10,12 +10,11 @@ The kernel factor f(t, a) shared by several families comes in two
 built-in flavours,
 
 * ``"bernoulli"``: f(t, a) = t / (a*e^t - 1),
-* ``"euler"``:     f(t, a) = 2 / (a*e^t + 1),
+* ``"euler"``:     f(t, a) = 2 / (a*e^t + 1).
 
-and a caller may instead pass any explicit EGF :class:`TruncSeries`
-as the kernel.  The Bernoulli flavour at a = 1 is built through the
-removable singularity by inverting (e^t - 1)/t; the Euler flavour at
-a = -1 is a genuine pole and raises :class:`SingularityError`.
+The Bernoulli flavour at a = 1 is built through the removable
+singularity by inverting (e^t - 1)/t; the Euler flavour at a = -1 is
+a genuine pole and raises :class:`SingularityError`.
 
 All builders are cached: descriptors are hashable, arithmetic is
 exact, and series are immutable, so repeated builds across a
@@ -34,8 +33,6 @@ from . import series
 from .errors import DomainError, RangeError, SingularityError, UsageError
 from .exact import CPoly, MultiPoly, Rational, U, W, X, Y
 from .series import TruncSeries
-
-FKind = Union[str, TruncSeries]
 
 _KERNEL_NAMES = ("bernoulli", "euler")
 
@@ -124,7 +121,7 @@ class K2Kernel:
 class M1:
     """(b + f(t,a))**z * e^(w*t + sum u_j t^j); complex EGF."""
     z: int
-    fkind: FKind
+    fkind: str
     a: Rational
     b: Rational
     r: int
@@ -134,7 +131,7 @@ class M1:
 class M2:
     """(b + f(t,a))**z * (G(w) + G(conj w)) with G the complex kernel."""
     z: int
-    fkind: FKind
+    fkind: str
     a: Rational
     b: Rational
     r: int
@@ -144,7 +141,7 @@ class M2:
 class M3:
     """(b + f(t,a))**z * (G(w) - G(conj w)) with G the complex kernel."""
     z: int
-    fkind: FKind
+    fkind: str
     a: Rational
     b: Rational
     r: int
@@ -166,7 +163,7 @@ class M5:
 class Bform:
     """2 * (b + f(t,a))**z * e^(x*t) * e^(sum u_j t^j) * cos(y*t); EGF."""
     z: int
-    fkind: FKind
+    fkind: str
     a: Rational
     b: Rational
     r: int
@@ -176,7 +173,7 @@ class Bform:
 class B1form:
     """2 * (b + f(t,a))**z * e^(x*t) * e^(sum u_j t^j) * sin(y*t); EGF."""
     z: int
-    fkind: FKind
+    fkind: str
     a: Rational
     b: Rational
     r: int
@@ -219,7 +216,7 @@ class Nw:
 class R1:
     """(b + f(t,a))**z, a scalar-coefficient EGF."""
     z: int
-    fkind: FKind
+    fkind: str
     a: Rational
     b: Rational
 
@@ -235,30 +232,15 @@ FamilyId = Union[
 # kernels
 
 
-def kernel_f(kind: FKind, a: Rational, order: int) -> TruncSeries:
-    """The kernel series f(t, a) at the requested truncation order.
-
-    ``kind`` is ``"bernoulli"``, ``"euler"``, or an explicit EGF
-    :class:`TruncSeries` supplied by the caller (then ``a`` is ignored
-    and the series is truncated down to ``order`` if necessary).
-    """
-    if isinstance(kind, TruncSeries):
-        if kind.convention != "egf":
-            raise UsageError("a user kernel series must use the egf convention")
-        if kind.order < order:
-            raise UsageError(
-                f"user kernel order {kind.order} is below the requested "
-                f"order {order}")
-        if kind.order > order:
-            return TruncSeries(kind.coeffs[:order + 1], order, "egf")
-        return kind
+def kernel_f(kind: str, a: Rational, order: int) -> TruncSeries:
+    """The ``"bernoulli"`` or ``"euler"`` kernel series f(t, a) at the
+    requested truncation order."""
     if kind == "bernoulli":
         return _bernoulli_kernel(Fraction(a), order)
     if kind == "euler":
         return _euler_kernel(Fraction(a), order)
     raise UsageError(
-        f"unknown kernel kind {kind!r}; expected one of {_KERNEL_NAMES} "
-        f"or a TruncSeries")
+        f"unknown kernel kind {kind!r}; expected one of {_KERNEL_NAMES}")
 
 
 @lru_cache(maxsize=None)

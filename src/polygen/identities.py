@@ -507,11 +507,12 @@ def _dickson_su(bounds: Bounds) -> Iterator[Comparison]:
 # convolution and derivative identities
 
 
-def _u_or_zero(m: int) -> MultiPoly:
-    """U_m for m >= 0, zero for m = -1 (the natural empty convention)."""
+def _u_or_zero(u: series.TruncSeries, m: int) -> MultiPoly:
+    """U_m read from the series ``u`` of second-kind values for m >= 0,
+    zero for m = -1 (the natural empty convention)."""
     if m < 0:
         return MultiPoly.zero()
-    return cf.chebyshev("U", m + 1)
+    return u.coefficient(m)
 
 
 @_register("ut_convolution", Bounds(n_max=16))
@@ -633,8 +634,9 @@ def _recurrence_s1_s2(bounds: Bounds) -> Iterator[Comparison]:
 @_register("tileu", Bounds(n_max=16))
 def _tileu(bounds: Bounds) -> Iterator[Comparison]:
     """First-kind values from consecutive second-kind values."""
+    u = gf.build(gf.ChebyshevU(), bounds.n_max)
     for n in range(bounds.n_max + 1):
-        rhs = _u_or_zero(n) - X * _u_or_zero(n - 1)
+        rhs = _u_or_zero(u, n) - X * _u_or_zero(u, n - 1)
         yield ({"n": n}, cf.chebyshev("T", n), rhs)
 
 
@@ -642,8 +644,9 @@ def _tileu(bounds: Bounds) -> Iterator[Comparison]:
 def _tileu2(bounds: Bounds) -> Iterator[Comparison]:
     """One-step raising of first-kind values with a second-kind tail."""
     one = MultiPoly.const(1)
+    u = gf.build(gf.ChebyshevU(), bounds.n_max)
     for n in range(bounds.n_max):
-        rhs = X * cf.chebyshev("T", n) - (one - X * X) * _u_or_zero(n - 1)
+        rhs = X * cf.chebyshev("T", n) - (one - X * X) * _u_or_zero(u, n - 1)
         yield ({"n": n}, cf.chebyshev("T", n + 1), rhs)
 
 

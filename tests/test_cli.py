@@ -147,8 +147,6 @@ def test_exit_codes(capsys):
     # closed form only: p1 has no generating-series route
     code, _, err = run(capsys, "series", "--family", "p1", "--order", "2")
     assert code == 2 and "no generating-function route" in err
-    # series only: r1 rows come from the series; expand works, but a
-    # family with no closed route at all must refuse the table
     code, _, err = run(capsys, "check")
     assert code == 2  # neither --suite nor --id
     code, _, err = run(capsys, "check", "--suite", "section2", "--id",
@@ -172,10 +170,18 @@ def test_size_caps_refuse_at_once(capsys, monkeypatch):
     # uncapped, the first request runs for hours
     limit = series.ORDER_LIMIT
     assert limit >= 80  # the largest requests the benchmark makes
+    exponents = [(cmd, "--family", family, f"{flag}={value}", size)
+                 for cmd, family, flag, size in (
+                     ("table", "apostol-bernoulli", "--k", "--n=0..3"),
+                     ("table", "bc", "--z", "--n=0..3"),
+                     ("table", "m1", "--z", "--n=0..2"),
+                     ("series", "apostol-bernoulli", "--k", "--order=4"),
+                     ("series", "r1", "--z", "--order=4"))
+                 for value in (limit + 1, -limit - 1, 10 ** 8)]
     for argv in (("table", "--family", "chebyshev-t", "--n", "0..100000"),
                  ("expand", "--family", "chebyshev-t", "--n", str(limit + 1)),
                  ("series", "--family", "chebyshev-t",
-                  "--order", str(limit + 1))):
+                  "--order", str(limit + 1)), *exponents):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", argv
         assert f"at most {limit}" in err
@@ -185,6 +191,11 @@ def test_size_caps_refuse_at_once(capsys, monkeypatch):
     code, out, _ = run(capsys, "expand", "--family", "chebyshev-t",
                        "--n", str(limit))
     assert code == 0 and out.startswith(f"{2 ** (limit - 1)}*x^{limit} ")
+    for flag, family in (("--k", "apostol-bernoulli"), ("--z", "r1")):
+        for value in (limit, -limit):
+            code, out, _ = run(capsys, "table", "--family", family,
+                               f"{flag}={value}", "--n", "0..1")
+            assert code == 0 and out.count("\n") == 2, (flag, value)
 
 
 def test_check_failure_exit_code(capsys, monkeypatch):
@@ -220,3 +231,25 @@ def test_check_all_json_is_golden(capsys):
     code, out, err = run(capsys, "check", "--suite", "all", "--format", "json")
     assert code == 0 and err == ""
     assert out.encode() == golden.read_bytes()
+
+
+# r1 rows are single kernel-power numbers, which
+# test_closedform.test_kernel_power_numbers_match_series checks exactly
+_KERNEL_TABLES = (
+    [[family, "--z", "-1", "--fkind", "euler", "--a", "2", "--b", "1/2",
+      "--r", "2"] for family in ("m1", "m3", "bform", "b1form")]
+    + [["apostol-bernoulli", "--k", "-2"]])
+
+
+def test_kernel_tables_are_golden(capsys):
+    # closed kernel-power routes against tables written while the kernel
+    # power was still read from the series of (b + f(t,a))^z
+    golden = Path(__file__).parent / "data" / "kernel_tables.txt"
+    parts = []
+    for request in _KERNEL_TABLES:
+        argv = ["table", "--family", *request, "--n", "0..6",
+                "--format", "json"]
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == "", argv
+        parts.append(f"$ polygen {' '.join(argv)}\n{out}")
+    assert "".join(parts).encode() == golden.read_bytes()

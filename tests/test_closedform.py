@@ -153,6 +153,54 @@ def test_hpoly_frak_h_spot_values():
         cf.frak_h(3, 0, 1, 2, "bernoulli", 1, 0)
 
 
+@pytest.mark.parametrize("fkind", ["bernoulli", "euler"])
+def test_kernel_power_numbers_match_series(fkind):
+    # closed numbers of (b + f(t,a))^z against the R1 series, and the
+    # same singular cases on both routes
+    for z in range(-3, 4):
+        for a in (1, 2, -HALF, -1):
+            for b in (0, 1, HALF, 2, -1):
+                try:
+                    ser = gf.build(gf.R1(z, fkind, Fraction(a), Fraction(b)),
+                                   10)
+                except SingularityError:
+                    with pytest.raises(SingularityError):
+                        cf.kernel_power_numbers(z, fkind, a, b, 10)
+                    continue
+                nums = cf.kernel_power_numbers(z, fkind, a, b, 10)
+                assert list(nums) == [ser.coefficient(m) for m in range(11)], \
+                    (z, a, b)
+    with pytest.raises(UsageError):
+        cf.kernel_power_numbers(1, "cauchy", 1, 1, 3)
+    with pytest.raises(RangeError):
+        cf.kernel_power_numbers(1, fkind, 1, 1, -1)
+
+
+def test_kernel_families_do_not_read_the_series(monkeypatch, capsys):
+    from polygen import cli
+
+    def clear_caches():
+        for fn in vars(cf).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+
+    def table():
+        assert cli.main(["table", "--family", "r1", "--z", "-2", "--fkind",
+                         "euler", "--a", "2", "--b", "1/2",
+                         "--n", "0..5"]) == 0
+        return capsys.readouterr().out
+
+    args = (4, -2, 2, "euler", 2, HALF)
+    expected = (cf.hpoly("h1", *args), cf.frak_h(2, *args), table())
+
+    def no_series(*_):
+        raise AssertionError("a closed form read a generating series")
+
+    clear_caches()
+    monkeypatch.setattr(gf, "build", no_series)
+    assert (cf.hpoly("h1", *args), cf.frak_h(2, *args), table()) == expected
+
+
 def test_ppoly():
     assert cf.ppoly("P1", 1, 1) == X + U[0]
     assert cf.ppoly("P2", 1, 1) == Y

@@ -82,6 +82,14 @@ def test_reduced_flag_discipline():
     with pytest.raises(UsageError):
         reduced * S
     assert reduced.forget_s_reduction().reduced_s is False
+    # constants compare by value whatever their flag; others by flag too
+    two = MultiPoly.const(2)
+    assert MultiPoly.const(2, True) == two and len({2, two}) == 1
+    assert len({MultiPoly.const(2, True), two}) == 1
+    assert MultiPoly.zero(True) == MultiPoly.zero()
+    assert X.reduce_s() != X and S.reduce_s() != S
+    with pytest.raises(UsageError):
+        MultiPoly.const(2, True) + two
     with pytest.raises(UsageError):
         reduced.partial("x")
     with pytest.raises(UsageError):
@@ -243,14 +251,16 @@ def test_no_zero_coefficient_stored(p, q, var, c, reduced):
 @st.composite
 def _two_forms(draw):
     """Two representations of one value: MultiPoly, CPoly.real, and for a
-    constant also its Fraction and, when integral, its int."""
+    constant also both s-reduction flags, its Fraction and, when
+    integral, its int."""
     p = draw(st.one_of(polys(), _coefs.map(MultiPoly.const)))
     if draw(st.booleans()):
         p = p.reduce_s()
     forms = [p, CPoly.real(p)]
     c = p.const_value()
     if c is not None:
-        forms.append(c)
+        flipped = MultiPoly.const(c, not p.reduced_s)
+        forms += [c, flipped, CPoly.real(flipped)]
         if c.denominator == 1:
             forms.append(int(c))
     return [draw(st.sampled_from(forms)) for _ in range(2)]

@@ -39,17 +39,6 @@ def test_euler_kernel_numbers():
         gf.kernel_f("euler", Fraction(-1), 4)
 
 
-def test_user_supplied_kernel():
-    custom = series.from_t_poly({0: 1, 1: HALF}, 8, "egf")
-    got = gf.kernel_f(custom, Fraction(99), 4)  # the parameter is ignored
-    assert got.order == 4
-    assert got.raw(1) == HALF
-    with pytest.raises(UsageError):
-        gf.kernel_f(series.from_t_poly({0: 1}, 2, "egf"), Fraction(1), 4)
-    with pytest.raises(UsageError):
-        gf.kernel_f(series.from_t_poly({0: 1}, 8, "ogf"), Fraction(1), 4)
-
-
 def test_build_cos_sin():
     c = gf.build(gf.CosC(), 4)
     assert c.coefficient(0) == 1
