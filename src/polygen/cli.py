@@ -22,9 +22,9 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from . import closedform as cf
 from . import genfun as gf
@@ -72,140 +72,118 @@ def _parse_n_range(text: str) -> range:
 
 @dataclass(frozen=True)
 class Family:
-    """One named family: its parameters and its two routes."""
+    """One named family: its flags and its two routes."""
 
     name: str
-    params: tuple[tuple[str, str, object], ...]  # (flag, kind, default)
-    series_fn: Optional[Callable[[dict], gf.FamilyId]]
-    closed_fn: Optional[Callable[[int, dict], object]]
+    params: dict[str, object]  # flag destination -> default, in order
+    descriptor: Optional[type]
+    closed_fn: Callable[..., object]
 
 
 _FAMILIES: dict[str, Family] = {}
 
-# every parameter flag, with its argparse destination
-_PARAM_DESTS = {"k": "k", "lambda": "lam", "z": "z", "a": "a", "b": "b",
-                "alpha": "alpha", "j": "j", "r": "r", "fkind": "fkind"}
-
-_K = ("k", "int", 1)
-_LAM = ("lambda", "rational", Fraction(1))
-_Z = ("z", "int", 1)
-_A = ("a", "rational", Fraction(1))
-_B = ("b", "rational", Fraction(1))
-_ALPHA = ("alpha", "rational", Fraction(1))
-_J = ("j", "int", 2)
-_R = ("r", "int", 2)
-_FKIND = ("fkind", "fkind", "bernoulli")
+# every family flag's argparse destination, in option order
+_DESTS = ("k", "lam", "z", "a", "b", "alpha", "j", "r", "fkind")
 
 
-def _family(name, params=(), series_fn=None, closed_fn=None, aliases=()):
-    entry = Family(name, tuple(params), series_fn, closed_fn)
+def _family(name, descriptor, closed_fn, aliases=(), params=None):
+    if params is None:
+        params = {field.name: field.default for field in fields(descriptor)}
+    entry = Family(name, params, descriptor, closed_fn)
     _FAMILIES[name] = entry
     for alias in aliases:
         _FAMILIES[alias] = entry
 
 
-_family("apostol-bernoulli", (_K, _LAM),
-        lambda p: gf.ApostolBernoulli(p["k"], p["lambda"]),
-        lambda n, p: cf.apostol("B", n, p["k"], p["lambda"]))
-_family("apostol-euler", (_K, _LAM),
-        lambda p: gf.ApostolEuler(p["k"], p["lambda"]),
-        lambda n, p: cf.apostol("E", n, p["k"], p["lambda"]))
-_family("cos-c", (), lambda p: gf.CosC(), lambda n, p: cf.cs_poly("C", n))
-_family("sin-s", (), lambda p: gf.SinS(), lambda n, p: cf.cs_poly("S", n))
-_family("chebyshev-t", (), lambda p: gf.ChebyshevT(),
-        lambda n, p: cf.chebyshev("T", n))
+_family("apostol-bernoulli", gf.ApostolBernoulli,
+        lambda n, k, lam: cf.apostol("B", n, k, lam))
+_family("apostol-euler", gf.ApostolEuler,
+        lambda n, k, lam: cf.apostol("E", n, k, lam))
+_family("cos-c", gf.CosC, lambda n: cf.cs_poly("C", n))
+_family("sin-s", gf.SinS, lambda n: cf.cs_poly("S", n))
+_family("chebyshev-t", gf.ChebyshevT, lambda n: cf.chebyshev("T", n))
 # row n of the second-kind table is U_n, the coefficient of t^n
-_family("chebyshev-u", (), lambda p: gf.ChebyshevU(),
-        lambda n, p: cf.chebyshev("U", n + 1))
-_family("dickson-d", (_ALPHA,), lambda p: gf.DicksonD(p["alpha"]),
-        lambda n, p: cf.dickson("D", n, p["alpha"]))
-_family("dickson-e", (_ALPHA,), lambda p: gf.DicksonE(p["alpha"]),
-        lambda n, p: cf.dickson("E", n, p["alpha"]))
-_family("gould-hopper", (_J,), lambda p: gf.GouldHopper(p["j"]),
-        lambda n, p: cf.gould_hopper(n, p["j"]))
-_family("hermite-gen", (_R,), lambda p: gf.HermiteGen(p["r"]),
-        lambda n, p: cf.hermite_gen(n, p["r"]))
-_family("g-kernel", (_R,), lambda p: gf.GKernel(p["r"]),
-        lambda n, p: cf.kpoly("K", n, p["r"]))
-_family("k1", (_R,), lambda p: gf.K1Kernel(p["r"]),
-        lambda n, p: cf.kpoly("k1", n, p["r"]))
-_family("k2", (_R,), lambda p: gf.K2Kernel(p["r"]),
-        lambda n, p: cf.kpoly("k2", n, p["r"]))
-_family("m1", (_Z, _FKIND, _A, _B, _R),
-        lambda p: gf.M1(p["z"], p["fkind"], p["a"], p["b"], p["r"]),
-        lambda n, p: cf.hpoly("h", n, p["z"], p["r"], p["fkind"],
-                              p["a"], p["b"]))
-_family("m2", (_Z, _FKIND, _A, _B, _R),
-        lambda p: gf.M2(p["z"], p["fkind"], p["a"], p["b"], p["r"]),
-        lambda n, p: cf.hpoly("h1", n, p["z"], p["r"], p["fkind"],
-                              p["a"], p["b"]))
-_family("m3", (_Z, _FKIND, _A, _B, _R),
-        lambda p: gf.M3(p["z"], p["fkind"], p["a"], p["b"], p["r"]),
-        lambda n, p: cf.hpoly("h2", n, p["z"], p["r"], p["fkind"],
-                              p["a"], p["b"]))
-_family("m4", (_R,), lambda p: gf.M4(p["r"]),
-        lambda n, p: cf.cs_r("C", n, p["r"]))
-_family("m5", (_R,), lambda p: gf.M5(p["r"]),
-        lambda n, p: cf.cs_r("S", n, p["r"]))
-_family("bform", (_Z, _FKIND, _A, _B, _R),
-        lambda p: gf.Bform(p["z"], p["fkind"], p["a"], p["b"], p["r"]),
-        lambda n, p: cf.frak_h(1, n, p["z"], p["r"], p["fkind"],
-                               p["a"], p["b"]))
-_family("b1form", (_Z, _FKIND, _A, _B, _R),
-        lambda p: gf.B1form(p["z"], p["fkind"], p["a"], p["b"], p["r"]),
-        lambda n, p: cf.frak_h(2, n, p["z"], p["r"], p["fkind"],
-                               p["a"], p["b"]))
-_family("bc", (_Z, _A), lambda p: gf.BC(p["z"], p["a"]),
-        lambda n, p: cf.parametric_apostol("BC", n, p["z"], p["a"]))
-_family("bs", (_Z, _A), lambda p: gf.BS(p["z"], p["a"]),
-        lambda n, p: cf.parametric_apostol("BS", n, p["z"], p["a"]))
-_family("ec", (_Z, _A), lambda p: gf.EC(p["z"], p["a"]),
-        lambda n, p: cf.parametric_apostol("EC", n, p["z"], p["a"]))
-_family("es", (_Z, _A), lambda p: gf.ES(p["z"], p["a"]),
-        lambda n, p: cf.parametric_apostol("ES", n, p["z"], p["a"]))
-_family("nw", (), lambda p: gf.Nw(), lambda n, p: cf.npoly(n),
-        aliases=("np",))
-_family("r1", (_Z, _FKIND, _A, _B),
-        lambda p: gf.R1(p["z"], p["fkind"], p["a"], p["b"]),
-        lambda n, p: MultiPoly.const(cf.kernel_power_numbers(
-            p["z"], p["fkind"], p["a"], p["b"], n)[n]))
-_family("p1", (_R,), None, lambda n, p: cf.ppoly("P1", n, p["r"]))
-_family("p2", (_R,), None, lambda n, p: cf.ppoly("P2", n, p["r"]))
-_family("p3", (_R,), None, lambda n, p: cf.ppoly("P3", n, p["r"]))
-_family("p4", (_R,), None, lambda n, p: cf.ppoly("P4", n, p["r"]))
+_family("chebyshev-u", gf.ChebyshevU, lambda n: cf.chebyshev("U", n + 1))
+_family("dickson-d", gf.DicksonD,
+        lambda n, alpha: cf.dickson("D", n, alpha))
+_family("dickson-e", gf.DicksonE,
+        lambda n, alpha: cf.dickson("E", n, alpha))
+_family("gould-hopper", gf.GouldHopper, lambda n, j: cf.gould_hopper(n, j))
+_family("hermite-gen", gf.HermiteGen, lambda n, r: cf.hermite_gen(n, r))
+_family("g-kernel", gf.GKernel, lambda n, r: cf.kpoly("K", n, r))
+_family("k1", gf.K1Kernel, lambda n, r: cf.kpoly("k1", n, r))
+_family("k2", gf.K2Kernel, lambda n, r: cf.kpoly("k2", n, r))
+_family("m1", gf.M1, lambda n, z, fkind, a, b, r:
+        cf.hpoly("h", n, z, r, fkind, a, b))
+_family("m2", gf.M2, lambda n, z, fkind, a, b, r:
+        cf.hpoly("h1", n, z, r, fkind, a, b))
+_family("m3", gf.M3, lambda n, z, fkind, a, b, r:
+        cf.hpoly("h2", n, z, r, fkind, a, b))
+_family("m4", gf.M4, lambda n, r: cf.cs_r("C", n, r))
+_family("m5", gf.M5, lambda n, r: cf.cs_r("S", n, r))
+_family("bform", gf.Bform, lambda n, z, fkind, a, b, r:
+        cf.frak_h(1, n, z, r, fkind, a, b))
+_family("b1form", gf.B1form, lambda n, z, fkind, a, b, r:
+        cf.frak_h(2, n, z, r, fkind, a, b))
+_family("bc", gf.BC, lambda n, z, a: cf.parametric_apostol("BC", n, z, a))
+_family("bs", gf.BS, lambda n, z, a: cf.parametric_apostol("BS", n, z, a))
+_family("ec", gf.EC, lambda n, z, a: cf.parametric_apostol("EC", n, z, a))
+_family("es", gf.ES, lambda n, z, a: cf.parametric_apostol("ES", n, z, a))
+_family("nw", gf.Nw, lambda n: cf.npoly(n), aliases=("np",))
+_family("r1", gf.R1, lambda n, z, fkind, a, b: MultiPoly.const(
+    cf.kernel_power_numbers(z, fkind, a, b, n)[n]))
+# the p families have a closed route only, over Hermite-type values
+_family("p1", None, lambda n, r: cf.ppoly("P1", n, r), params={"r": 2})
+_family("p2", None, lambda n, r: cf.ppoly("P2", n, r), params={"r": 2})
+_family("p3", None, lambda n, r: cf.ppoly("P3", n, r), params={"r": 2})
+_family("p4", None, lambda n, r: cf.ppoly("P4", n, r), params={"r": 2})
 
 
-def _resolve_family(name: str) -> Family:
-    if name not in _FAMILIES:
+def _flag(dest: str) -> str:
+    return "lambda" if dest == "lam" else dest
+
+
+def _family_params(args: argparse.Namespace) -> tuple[Family, dict]:
+    """The requested family and its parameter values, in field order."""
+    if args.family not in _FAMILIES:
         raise UsageError(
-            f"unknown family {name!r}; known families: "
+            f"unknown family {args.family!r}; known families: "
             f"{', '.join(sorted(set(_FAMILIES)))}")
-    return _FAMILIES[name]
-
-
-def _collect_params(family: Family, args: argparse.Namespace) -> dict:
-    allowed = {flag for flag, _, _ in family.params}
-    for flag, dest in _PARAM_DESTS.items():
-        if getattr(args, dest, None) is not None and flag not in allowed:
+    family = _FAMILIES[args.family]
+    for dest in _DESTS:
+        if getattr(args, dest) is not None and dest not in family.params:
             raise UsageError(
-                f"family {family.name!r} does not take --{flag}")
+                f"family {family.name!r} does not take --{_flag(dest)}")
     params = {}
-    for flag, kind, default in family.params:
-        raw = getattr(args, _PARAM_DESTS[flag])
+    for dest, default in family.params.items():
+        raw = getattr(args, dest)
         if raw is None:
-            params[flag] = default
-        elif kind == "rational":
-            params[flag] = _parse_rational(raw)
+            params[dest] = default
+        elif isinstance(default, Fraction):
+            params[dest] = _parse_rational(raw)
         else:
-            if flag in ("k", "z"):
-                _check_size(f"|--{flag}|", abs(raw))
-            params[flag] = raw
-    return params
+            if dest in ("k", "z"):
+                _check_size(f"|--{dest}|", abs(raw))
+            params[dest] = raw
+    return family, params
 
 
-def _params_json(params: dict) -> dict:
-    return {flag: value if isinstance(value, (int, str)) else str(value)
-            for flag, value in params.items()}
+def _print_json(family: Family, params: dict, **body: object) -> None:
+    shown = {_flag(dest): value if isinstance(value, (int, str))
+             else str(value) for dest, value in params.items()}
+    payload = {"family": family.name, "params": shown, **body}
+    print(json.dumps(payload, indent=2))
+
+
+def _print_rows(fmt: str, rows: Iterable[tuple[int, object]]) -> None:
+    """One (n, value) row per line, as text or as CSV."""
+    if fmt == "csv":
+        writer = csv.writer(sys.stdout)
+        writer.writerow(["n", "value"])
+        writer.writerows([n, str(value)] for n, value in rows)
+    else:
+        for n, value in rows:
+            print(f"{n}\t{value}")
 
 
 # ----------------------------------------------------------------------
@@ -213,81 +191,43 @@ def _params_json(params: dict) -> dict:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    family = _resolve_family(args.family)
-    params = _collect_params(family, args)
-    if family.closed_fn is None:
-        raise UsageError(f"family {family.name!r} has no closed-form "
-                         f"route; use the series command")
-    rows = [(n, family.closed_fn(n, params))
+    family, params = _family_params(args)
+    rows = [(n, family.closed_fn(n, *params.values()))
             for n in _parse_n_range(args.n)]
     if args.format == "json":
-        payload = {
-            "family": family.name,
-            "params": _params_json(params),
-            "rows": [{"n": n, "value": value.to_json_dict()}
-                     for n, value in rows],
-        }
-        print(json.dumps(payload, indent=2))
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["n", "value"])
-        for n, value in rows:
-            writer.writerow([n, str(value)])
+        _print_json(family, params, rows=[
+            {"n": n, "value": value.to_json_dict()} for n, value in rows])
     else:
-        for n, value in rows:
-            print(f"{n}\t{value}")
+        _print_rows(args.format, rows)
     return 0
 
 
 def _cmd_series(args: argparse.Namespace) -> int:
-    family = _resolve_family(args.family)
-    params = _collect_params(family, args)
-    if family.series_fn is None:
+    family, params = _family_params(args)
+    if family.descriptor is None:
         raise UsageError(f"family {family.name!r} has no generating-"
                          f"function route; use the table command")
     order = (_check_size("--order", args.order) if args.order is not None
              else series_mod.default_order())
-    ser = gf.build(family.series_fn(params), order)
+    ser = gf.build(family.descriptor(*params.values()), order)
     if args.format == "json":
-        payload = {
-            "family": family.name,
-            "params": _params_json(params),
-            "series": ser.to_json_dict(),
-        }
-        print(json.dumps(payload, indent=2))
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["n", "value"])
-        for n in range(order + 1):
-            writer.writerow([n, str(ser.coefficient(n))])
+        _print_json(family, params, series=ser.to_json_dict())
     else:
-        for n in range(order + 1):
-            print(f"{n}\t{ser.coefficient(n)}")
+        _print_rows(args.format,
+                    ((n, ser.coefficient(n)) for n in range(order + 1)))
     return 0
 
 
 def _cmd_expand(args: argparse.Namespace) -> int:
-    family = _resolve_family(args.family)
-    params = _collect_params(family, args)
-    if family.closed_fn is None:
-        raise UsageError(f"family {family.name!r} has no closed-form "
-                         f"route; use the series command")
+    family, params = _family_params(args)
     ns = _parse_n_range(args.n)
     if len(ns) != 1:
         raise UsageError("expand takes a single n, not a range")
-    value = family.closed_fn(ns[0], params)
+    value = family.closed_fn(ns[0], *params.values())
     if args.format == "json":
-        payload = {
-            "family": family.name,
-            "params": _params_json(params),
-            "n": ns[0],
-            "value": value.to_json_dict(),
-        }
-        print(json.dumps(payload, indent=2))
+        _print_json(family, params, n=ns[0], value=value.to_json_dict())
     elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["n", "value"])
-        writer.writerow([ns[0], str(value)])
+        _print_rows("csv", [(ns[0], value)])
     else:
         print(str(value))
     return 0

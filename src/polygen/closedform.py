@@ -450,7 +450,8 @@ def ppoly(kind: str, n: int, r: int) -> MultiPoly:
     if kind == "P2":
         return _p12(n, r).im
     if kind == "P3":
-        return _p12(n, r).re.substitute("y", MultiPoly.variable("s")).reduce_s()
+        s = MultiPoly.variable("s")
+        return _p12(n, r).re.substitute("y", s).reduce_s()
     if kind == "P4":
         if n < 1:
             raise RangeError("the sine-side projection needs n >= 1")

@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 from .errors import UsageError
 
@@ -58,14 +58,6 @@ def _coerce(value: object) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise UsageError(f"expected an exact rational, got {type(value).__name__}")
-
-
-def _pack(exps: Iterable[int]) -> int:
-    key = 0
-    for i, e in enumerate(exps):
-        if e:
-            key |= e << (_BITS * i)
-    return key
 
 
 def _unpack(key: int) -> tuple[int, ...]:
@@ -180,14 +172,15 @@ class MultiPoly:
 
     def __mul__(self, other: object) -> "MultiPoly":
         if isinstance(other, (int, Fraction)):
-            c = _coerce(other)
-            if not c:
-                return MultiPoly.zero(self.reduced_s)
-            return _raw({k: v * c for k, v in self.terms.items()},
-                        self.reduced_s)
+            return self._scaled(_coerce(other))
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_compatible(other)
+        # a constant factor on either side only scales the other one
+        if (c := other.const_value()) is not None:
+            return self._scaled(c)
+        if (c := self.const_value()) is not None:
+            return other._scaled(c)
         out: dict[int, Fraction] = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
@@ -195,6 +188,14 @@ class MultiPoly:
         if self.reduced_s:
             out = _reduce_terms(out)
         return _raw(out, self.reduced_s)
+
+    def _scaled(self, c: Fraction) -> "MultiPoly":
+        if c == 1:
+            return self
+        if not c:
+            return MultiPoly.zero(self.reduced_s)
+        return _raw({k: v * c for k, v in self.terms.items()},
+                    self.reduced_s)
 
     __rmul__ = __mul__
 
@@ -253,11 +254,6 @@ class MultiPoly:
             return self.terms[0]
         return None
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(_unpack(k)) for k in self.terms)
-
     def support(self) -> tuple[str, ...]:
         """Variables that actually occur, in canonical alphabet order."""
         used = set()
@@ -292,7 +288,8 @@ class MultiPoly:
                 out[key - (1 << (_BITS * idx))] = coef * e
         return _raw(out, self.reduced_s)
 
-    def substitute(self, var: str, replacement: "MultiPoly | Scalar") -> "MultiPoly":
+    def substitute(self, var: str,
+                   replacement: "MultiPoly | Scalar") -> "MultiPoly":
         """Substitute a polynomial (or scalar) for one variable."""
         if var not in _VIDX:
             raise UsageError(f"unknown variable {var!r}")
@@ -648,7 +645,8 @@ class CPoly:
             return CPoly(MultiPoly.from_json_dict(data["re"]),
                          MultiPoly.from_json_dict(data["im"]))
         except KeyError as exc:
-            raise UsageError(f"malformed complex polynomial JSON: {exc}") from exc
+            raise UsageError(
+                f"malformed complex polynomial JSON: {exc}") from exc
 
     @staticmethod
     def from_json(text: str) -> "CPoly":

@@ -1,7 +1,12 @@
 """Generating-function constructions for every supported family.
 
-Each family descriptor below is a frozen dataclass naming one
-generating function; :func:`build` turns a descriptor into a
+A family is one descriptor below plus one ``_family`` row in
+:mod:`polygen.cli`.  A descriptor is a frozen dataclass: its fields
+are the family's parameters in positional order and its CLI flags,
+their defaults the flag defaults, and its ``_series(order)`` method
+builds its series.  Classes that differ only in a cosine/sine side, a
+kernel or a conjugate sign name it in a class attribute and share one
+method.  :func:`build` turns a descriptor into a
 :class:`~polygen.series.TruncSeries` whose coefficients are exact
 polynomials.  Chebyshev and Dickson families are ordinary generating
 functions; every other family is exponential.
@@ -18,7 +23,8 @@ a genuine pole and raises :class:`SingularityError`.
 
 All builders are cached: descriptors are hashable, arithmetic is
 exact, and series are immutable, so repeated builds across a
-parameter sweep cost one construction each.
+parameter sweep cost one construction each; builders reach nested
+families through the module-level :func:`build` and its cache.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
 
 from . import series
 from .errors import DomainError, RangeError, SingularityError, UsageError
@@ -44,188 +49,279 @@ _KERNEL_NAMES = ("bernoulli", "euler")
 @dataclass(frozen=True)
 class ApostolBernoulli:
     """(t/(lam*e^t - 1))**k * e^(x*t); EGF."""
-    k: int
-    lam: Rational
+    k: int = 1
+    lam: Rational = Fraction(1)
+    kernel = "bernoulli"
+
+    def _series(self, order: int) -> TruncSeries:
+        kern = kernel_f(self.kernel, self.lam, order)
+        return series.pow_int(kern, self.k) * _exp_xt(order)
 
 
 @dataclass(frozen=True)
 class ApostolEuler:
     """(2/(lam*e^t + 1))**k * e^(x*t); EGF."""
-    k: int
-    lam: Rational
+    k: int = 1
+    lam: Rational = Fraction(1)
+    kernel = "euler"
+    _series = ApostolBernoulli._series
 
 
 @dataclass(frozen=True)
 class CosC:
     """e^(x*t) * cos(y*t); EGF."""
+    side = 0
+
+    def _series(self, order: int) -> TruncSeries:
+        return _exp_xt(order) * _cos_sin_yt(order)[self.side]
 
 
 @dataclass(frozen=True)
 class SinS:
     """e^(x*t) * sin(y*t); EGF."""
+    side = 1
+    _series = CosC._series
 
 
 @dataclass(frozen=True)
 class ChebyshevT:
     """(1 - x*t) / (1 - 2*x*t + t^2); OGF."""
 
+    def _series(self, order: int) -> TruncSeries:
+        numer = series.from_t_poly({0: 1, 1: -X}, order, "ogf")
+        denom = series.from_t_poly({0: 1, 1: X * -2, 2: 1}, order, "ogf")
+        return numer * series.invert(denom)
+
 
 @dataclass(frozen=True)
 class ChebyshevU:
     """1 / (1 - 2*x*t + t^2); OGF."""
 
+    def _series(self, order: int) -> TruncSeries:
+        denom = series.from_t_poly({0: 1, 1: X * -2, 2: 1}, order, "ogf")
+        return series.invert(denom)
+
 
 @dataclass(frozen=True)
 class DicksonD:
     """(2 - x*t) / (1 - x*t + alpha*t^2); OGF."""
-    alpha: Rational
+    alpha: Rational = Fraction(1)
+
+    def _series(self, order: int) -> TruncSeries:
+        alpha = Fraction(self.alpha)
+        numer = series.from_t_poly({0: 2, 1: -X}, order, "ogf")
+        denom = series.from_t_poly({0: 1, 1: -X, 2: alpha}, order, "ogf")
+        return numer * series.invert(denom)
 
 
 @dataclass(frozen=True)
 class DicksonE:
     """1 / (1 - x*t + alpha*t^2); OGF."""
-    alpha: Rational
+    alpha: Rational = Fraction(1)
+
+    def _series(self, order: int) -> TruncSeries:
+        alpha = Fraction(self.alpha)
+        denom = series.from_t_poly({0: 1, 1: -X, 2: alpha}, order, "ogf")
+        return series.invert(denom)
 
 
 @dataclass(frozen=True)
 class GouldHopper:
     """e^(x*t + y*t^j) for j >= 2; EGF."""
-    j: int
+    j: int = 2
+
+    def _series(self, order: int) -> TruncSeries:
+        if not isinstance(self.j, int) or self.j < 2:
+            raise RangeError(f"Gould-Hopper exponent j must be an integer "
+                             f">= 2, got {self.j!r}")
+        arg = series.from_t_poly({1: X, self.j: Y}, order, "egf")
+        return series.exp(arg)
 
 
 @dataclass(frozen=True)
 class HermiteGen:
     """e^(u1*t + u2*t^2 + ... + ur*t^r); EGF."""
-    r: int
+    r: int = 2
+
+    def _series(self, order: int) -> TruncSeries:
+        return _exp_u(self.r, order)
 
 
 @dataclass(frozen=True)
 class GKernel:
     """e^(w*t + sum u_j t^j) with w = x + i*y; complex EGF."""
-    r: int
+    r: int = 2
+
+    def _series(self, order: int) -> TruncSeries:
+        return _lift_complex(_exp_u(self.r, order, W))
 
 
 @dataclass(frozen=True)
 class K1Kernel:
     """e^((x+u1)*t + sum_{j>=2} u_j t^j) * cos(y*t); EGF."""
-    r: int
+    r: int = 2
+    side = 0
+
+    def _series(self, order: int) -> TruncSeries:
+        return _exp_u(self.r, order, X) * _cos_sin_yt(order)[self.side]
 
 
 @dataclass(frozen=True)
 class K2Kernel:
     """e^((x+u1)*t + sum_{j>=2} u_j t^j) * sin(y*t); EGF."""
-    r: int
+    r: int = 2
+    side = 1
+    _series = K1Kernel._series
 
 
 @dataclass(frozen=True)
 class M1:
     """(b + f(t,a))**z * e^(w*t + sum u_j t^j); complex EGF."""
-    z: int
-    fkind: str
-    a: Rational
-    b: Rational
-    r: int
+    z: int = 1
+    fkind: str = "bernoulli"
+    a: Rational = Fraction(1)
+    b: Rational = Fraction(1)
+    r: int = 2
+    conj = 0  # 0, 1, -1: G(w), G(w) + G(conj w), G(w) - G(conj w)
+
+    def _series(self, order: int) -> TruncSeries:
+        g = build(GKernel(self.r), order)
+        if self.conj:
+            g = g + _conj_series(g) if self.conj > 0 else g - _conj_series(g)
+        return build(R1(self.z, self.fkind, self.a, self.b), order) * g
 
 
 @dataclass(frozen=True)
 class M2:
     """(b + f(t,a))**z * (G(w) + G(conj w)) with G the complex kernel."""
-    z: int
-    fkind: str
-    a: Rational
-    b: Rational
-    r: int
+    z: int = 1
+    fkind: str = "bernoulli"
+    a: Rational = Fraction(1)
+    b: Rational = Fraction(1)
+    r: int = 2
+    conj = 1
+    _series = M1._series
 
 
 @dataclass(frozen=True)
 class M3:
     """(b + f(t,a))**z * (G(w) - G(conj w)) with G the complex kernel."""
-    z: int
-    fkind: str
-    a: Rational
-    b: Rational
-    r: int
+    z: int = 1
+    fkind: str = "bernoulli"
+    a: Rational = Fraction(1)
+    b: Rational = Fraction(1)
+    r: int = 2
+    conj = -1
+    _series = M1._series
 
 
 @dataclass(frozen=True)
 class M4:
     """e^(sum u_j t^j) * cos(y*t); EGF."""
-    r: int
+    r: int = 2
+    side = 0
+
+    def _series(self, order: int) -> TruncSeries:
+        return _exp_u(self.r, order) * _cos_sin_yt(order)[self.side]
 
 
 @dataclass(frozen=True)
 class M5:
     """e^(sum u_j t^j) * sin(y*t); EGF."""
-    r: int
+    r: int = 2
+    side = 1
+    _series = M4._series
 
 
 @dataclass(frozen=True)
 class Bform:
     """2 * (b + f(t,a))**z * e^(x*t) * e^(sum u_j t^j) * cos(y*t); EGF."""
-    z: int
-    fkind: str
-    a: Rational
-    b: Rational
-    r: int
+    z: int = 1
+    fkind: str = "bernoulli"
+    a: Rational = Fraction(1)
+    b: Rational = Fraction(1)
+    r: int = 2
+    side = 0
+
+    def _series(self, order: int) -> TruncSeries:
+        factor = build(R1(self.z, self.fkind, self.a, self.b), order)
+        kernel = (K1Kernel, K2Kernel)[self.side](self.r)
+        return factor * build(kernel, order) * 2
 
 
 @dataclass(frozen=True)
 class B1form:
     """2 * (b + f(t,a))**z * e^(x*t) * e^(sum u_j t^j) * sin(y*t); EGF."""
-    z: int
-    fkind: str
-    a: Rational
-    b: Rational
-    r: int
+    z: int = 1
+    fkind: str = "bernoulli"
+    a: Rational = Fraction(1)
+    b: Rational = Fraction(1)
+    r: int = 2
+    side = 1
+    _series = Bform._series
 
 
 @dataclass(frozen=True)
 class BC:
     """(t/(a*e^t - 1))**z * e^(x*t) * cos(y*t); EGF."""
-    z: int
-    a: Rational
+    z: int = 1
+    a: Rational = Fraction(1)
+    kernel, side = "bernoulli", 0
+
+    def _series(self, order: int) -> TruncSeries:
+        kern = kernel_f(self.kernel, self.a, order)
+        trig = (CosC, SinS)[self.side]()
+        return series.pow_int(kern, self.z) * build(trig, order)
 
 
 @dataclass(frozen=True)
 class BS:
     """(t/(a*e^t - 1))**z * e^(x*t) * sin(y*t); EGF."""
-    z: int
-    a: Rational
+    z: int = 1
+    a: Rational = Fraction(1)
+    kernel, side = "bernoulli", 1
+    _series = BC._series
 
 
 @dataclass(frozen=True)
 class EC:
     """(2/(a*e^t + 1))**z * e^(x*t) * cos(y*t); EGF."""
-    z: int
-    a: Rational
+    z: int = 1
+    a: Rational = Fraction(1)
+    kernel, side = "euler", 0
+    _series = BC._series
 
 
 @dataclass(frozen=True)
 class ES:
     """(2/(a*e^t + 1))**z * e^(x*t) * sin(y*t); EGF."""
-    z: int
-    a: Rational
+    z: int = 1
+    a: Rational = Fraction(1)
+    kernel, side = "euler", 1
+    _series = BC._series
 
 
 @dataclass(frozen=True)
 class Nw:
     """e^(w*t) with w = x + i*y; complex EGF."""
 
+    def _series(self, order: int) -> TruncSeries:
+        return _lift_complex(
+            series.exp(series.from_t_poly({1: W}, order, "egf")))
+
 
 @dataclass(frozen=True)
 class R1:
     """(b + f(t,a))**z, a scalar-coefficient EGF."""
-    z: int
-    fkind: str
-    a: Rational
-    b: Rational
+    z: int = 1
+    fkind: str = "bernoulli"
+    a: Rational = Fraction(1)
+    b: Rational = Fraction(1)
 
-
-FamilyId = Union[
-    ApostolBernoulli, ApostolEuler, CosC, SinS, ChebyshevT, ChebyshevU,
-    DicksonD, DicksonE, GouldHopper, HermiteGen, GKernel, K1Kernel,
-    K2Kernel, M1, M2, M3, M4, M5, Bform, B1form, BC, BS, EC, ES, Nw, R1,
-]
+    def _series(self, order: int) -> TruncSeries:
+        kern = kernel_f(self.fkind, self.a, order)
+        base = series.constant(Fraction(self.b), order, "egf") + kern
+        return series.pow_int(base, self.z)
 
 
 # ----------------------------------------------------------------------
@@ -291,21 +387,11 @@ def _check_r(r: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _exp_u(r: int, order: int) -> TruncSeries:
-    """e^(u1*t + ... + ur*t^r)."""
+def _exp_u(r: int, order: int, shift: object = 0) -> TruncSeries:
+    """e^((shift+u1)*t + u2*t^2 + ... + ur*t^r)."""
     _check_r(r)
-    arg = series.from_t_poly({j: U[j - 1] for j in range(1, r + 1)},
-                             order, "egf")
-    return series.exp(arg)
-
-
-@lru_cache(maxsize=None)
-def _exp_xu(r: int, order: int) -> TruncSeries:
-    """e^((x+u1)*t + u2*t^2 + ... + ur*t^r)."""
-    _check_r(r)
-    powers: dict[int, object] = {1: X + U[0]}
-    for j in range(2, r + 1):
-        powers[j] = U[j - 1]
+    powers = {j: U[j - 1] for j in range(1, r + 1)}
+    powers[1] = shift + U[0]
     return series.exp(series.from_t_poly(powers, order, "egf"))
 
 
@@ -334,128 +420,15 @@ def _lift_complex(f: TruncSeries) -> TruncSeries:
 
 
 @lru_cache(maxsize=None)
-def build(family: FamilyId, order: int) -> TruncSeries:
+def build(family: object, order: int) -> TruncSeries:
     """The truncated generating series of ``family`` up to t**order."""
     if not isinstance(order, int) or order < 0:
         raise UsageError(f"truncation order must be a non-negative integer, "
                          f"got {order!r}")
-
-    if isinstance(family, ApostolBernoulli):
-        kern = _bernoulli_kernel(Fraction(family.lam), order)
-        return series.pow_int(kern, family.k) * _exp_xt(order)
-
-    if isinstance(family, ApostolEuler):
-        kern = _euler_kernel(Fraction(family.lam), order)
-        return series.pow_int(kern, family.k) * _exp_xt(order)
-
-    if isinstance(family, CosC):
-        return _exp_xt(order) * _cos_sin_yt(order)[0]
-
-    if isinstance(family, SinS):
-        return _exp_xt(order) * _cos_sin_yt(order)[1]
-
-    if isinstance(family, ChebyshevT):
-        numer = series.from_t_poly({0: 1, 1: -X}, order, "ogf")
-        denom = series.from_t_poly({0: 1, 1: X * -2, 2: 1}, order, "ogf")
-        return numer * series.invert(denom)
-
-    if isinstance(family, ChebyshevU):
-        denom = series.from_t_poly({0: 1, 1: X * -2, 2: 1}, order, "ogf")
-        return series.invert(denom)
-
-    if isinstance(family, DicksonD):
-        alpha = Fraction(family.alpha)
-        numer = series.from_t_poly({0: 2, 1: -X}, order, "ogf")
-        denom = series.from_t_poly({0: 1, 1: -X, 2: alpha}, order, "ogf")
-        return numer * series.invert(denom)
-
-    if isinstance(family, DicksonE):
-        alpha = Fraction(family.alpha)
-        denom = series.from_t_poly({0: 1, 1: -X, 2: alpha}, order, "ogf")
-        return series.invert(denom)
-
-    if isinstance(family, GouldHopper):
-        if not isinstance(family.j, int) or family.j < 2:
-            raise RangeError(f"Gould-Hopper exponent j must be an integer "
-                             f">= 2, got {family.j!r}")
-        arg = series.from_t_poly({1: X, family.j: Y}, order, "egf")
-        return series.exp(arg)
-
-    if isinstance(family, HermiteGen):
-        return _exp_u(family.r, order)
-
-    if isinstance(family, GKernel):
-        _check_r(family.r)
-        powers: dict[int, object] = {1: W + U[0]}
-        for j in range(2, family.r + 1):
-            powers[j] = U[j - 1]
-        return _lift_complex(
-            series.exp(series.from_t_poly(powers, order, "egf")))
-
-    if isinstance(family, K1Kernel):
-        return _exp_xu(family.r, order) * _cos_sin_yt(order)[0]
-
-    if isinstance(family, K2Kernel):
-        return _exp_xu(family.r, order) * _cos_sin_yt(order)[1]
-
-    if isinstance(family, M1):
-        factor = build(R1(family.z, family.fkind, family.a, family.b), order)
-        return factor * build(GKernel(family.r), order)
-
-    if isinstance(family, M2):
-        g = build(GKernel(family.r), order)
-        factor = build(R1(family.z, family.fkind, family.a, family.b), order)
-        return factor * (g + _conj_series(g))
-
-    if isinstance(family, M3):
-        g = build(GKernel(family.r), order)
-        factor = build(R1(family.z, family.fkind, family.a, family.b), order)
-        return factor * (g - _conj_series(g))
-
-    if isinstance(family, M4):
-        return _exp_u(family.r, order) * _cos_sin_yt(order)[0]
-
-    if isinstance(family, M5):
-        return _exp_u(family.r, order) * _cos_sin_yt(order)[1]
-
-    if isinstance(family, Bform):
-        factor = build(R1(family.z, family.fkind, family.a, family.b), order)
-        return factor * build(K1Kernel(family.r), order) * 2
-
-    if isinstance(family, B1form):
-        factor = build(R1(family.z, family.fkind, family.a, family.b), order)
-        return factor * build(K2Kernel(family.r), order) * 2
-
-    if isinstance(family, BC):
-        factor = series.pow_int(_bernoulli_kernel(Fraction(family.a), order),
-                                family.z)
-        return factor * build(CosC(), order)
-
-    if isinstance(family, BS):
-        factor = series.pow_int(_bernoulli_kernel(Fraction(family.a), order),
-                                family.z)
-        return factor * build(SinS(), order)
-
-    if isinstance(family, EC):
-        factor = series.pow_int(_euler_kernel(Fraction(family.a), order),
-                                family.z)
-        return factor * build(CosC(), order)
-
-    if isinstance(family, ES):
-        factor = series.pow_int(_euler_kernel(Fraction(family.a), order),
-                                family.z)
-        return factor * build(SinS(), order)
-
-    if isinstance(family, Nw):
-        return _lift_complex(
-            series.exp(series.from_t_poly({1: W}, order, "egf")))
-
-    if isinstance(family, R1):
-        kern = kernel_f(family.fkind, family.a, order)
-        base = series.constant(Fraction(family.b), order, "egf") + kern
-        return series.pow_int(base, family.z)
-
-    raise UsageError(f"unknown family descriptor {family!r}")
+    builder = getattr(type(family), "_series", None)
+    if builder is None:
+        raise UsageError(f"unknown family descriptor {family!r}")
+    return builder(family, order)
 
 
 # ----------------------------------------------------------------------

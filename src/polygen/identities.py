@@ -702,7 +702,8 @@ def _gould_hopper_discrepancy(bounds: Bounds) -> CheckReport:
                          corrected, oracle)
         if variant == oracle:
             return _fail(check_id, bounds,
-                         {"n": n, "j": j, "leg": "variant-unexpectedly-agrees"},
+                         {"n": n, "j": j,
+                          "leg": "variant-unexpectedly-agrees"},
                          variant, oracle)
     return _ok(check_id, bounds)
 

@@ -52,7 +52,8 @@ def default_order() -> int:
     try:
         order = int(raw)
     except ValueError as exc:
-        raise UsageError(f"POLYGEN_ORDER must be an integer, got {raw!r}") from exc
+        raise UsageError(
+            f"POLYGEN_ORDER must be an integer, got {raw!r}") from exc
     if order < 0:
         raise UsageError("POLYGEN_ORDER must be non-negative")
     if order > ORDER_LIMIT:
@@ -244,7 +245,8 @@ def _coef_from_json(entry: Mapping) -> Coef:
 # constructors
 
 
-def constant(value: object, order: int, convention: str = "egf") -> TruncSeries:
+def constant(value: object, order: int,
+             convention: str = "egf") -> TruncSeries:
     """The constant series value + 0*t + ..."""
     coeffs: list[object] = [_lift(value)]
     zero = MultiPoly.zero()

@@ -5,10 +5,12 @@ budget.  Run with ``pytest tests/test_acceptance.py -v -s`` to watch
 them scroll by.
 """
 
+import os
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -227,10 +229,15 @@ def test_criterion_09_discrepancy_pins():
 # -- criterion 10: the CLI runs everything, cold --------------------------
 
 def test_criterion_10_full_cli_run():
+    # the child imports the same polygen as these tests, installed or not
+    src = str(Path(ids.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+
     def body():
         proc = subprocess.run(
             [sys.executable, "-m", "polygen", "check", "--suite", "all"],
-            capture_output=True, text=True, timeout=120)
+            capture_output=True, text=True, timeout=120, env=env)
         assert proc.returncode == 0, proc.stdout + proc.stderr
         lines = proc.stdout.splitlines()
         assert lines[-1].startswith("passed ")

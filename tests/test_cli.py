@@ -253,3 +253,35 @@ def test_kernel_tables_are_golden(capsys):
         assert code == 0 and err == "", argv
         parts.append(f"$ polygen {' '.join(argv)}\n{out}")
     assert "".join(parts).encode() == golden.read_bytes()
+
+
+# a non-default value for every family flag, each differing from the
+# others, so that a swapped or dropped parameter changes the table
+_WIRING_FLAGS = {"k": "2", "lam": "1/2", "z": "2", "fkind": "euler",
+                 "a": "3", "b": "1/2", "alpha": "3", "j": "3", "r": "3"}
+
+
+def test_registry_wires_both_routes_alike(capsys):
+    for name, family in cli._FAMILIES.items():
+        if family.descriptor is None:
+            continue
+        flags = [arg for dest in family.params for arg in
+                 (f"--{cli._flag(dest)}", _WIRING_FLAGS[dest])]
+        series_run = run(capsys, "series", "--family", name, *flags,
+                         "--order", "6")
+        table_run = run(capsys, "table", "--family", name, *flags,
+                        "--n", "0..6")
+        assert series_run[0] == 0 and series_run == table_run, name
+
+
+def test_family_params_are_golden(capsys):
+    # key order and defaults of every family's flags, as JSON shows them
+    golden = Path(__file__).parent / "data" / "family_params.json"
+    params = {}
+    for name in sorted(cli._FAMILIES):
+        code, out, _ = run(capsys, "expand", "--family", name, "--n", "1",
+                           "--format", "json")
+        assert code == 0, name
+        params[name] = json.loads(out)["params"]
+    assert (json.dumps(params, indent=2) + "\n").encode() == \
+        golden.read_bytes()

@@ -237,6 +237,25 @@ def test_cpoly_times_real_poly(p, q, r):
     assert r * z == CPoly.real(r) * z
 
 
+@given(polys(), st.one_of(st.just(Fraction(1)), _scalars), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_multiply_by_constant(p, c, reduced):
+    # one returns the polynomial itself, and a constant polynomial on
+    # either side scales like its value
+    if reduced:
+        p = p.reduce_s()
+    assert p * 1 is p and 1 * p is p
+    const, x = MultiPoly.const(c, reduced), MultiPoly.variable("x", reduced)
+    product = p * c
+    assert p * const == product == const * p
+    assert product == p * (x + c) - p * x  # through the general product
+    assert product.reduced_s is reduced
+    with pytest.raises(UsageError):
+        p * MultiPoly.const(c, not reduced)
+    with pytest.raises(UsageError):
+        MultiPoly.const(c, not reduced) * p
+
+
 @given(polys(), polys(), _names, _scalars, st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_no_zero_coefficient_stored(p, q, var, c, reduced):

@@ -145,6 +145,9 @@ def test_build_r_range():
         gf.build(gf.GKernel(9), 4)
     with pytest.raises(UsageError):
         gf.build(gf.CosC(), -1)
+    for not_a_descriptor in (gf.CosC, "cos-c", 3):
+        with pytest.raises(UsageError):
+            gf.build(not_a_descriptor, 4)
 
 
 def test_build_caching_returns_identical_objects():
