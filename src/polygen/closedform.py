@@ -4,9 +4,9 @@ Each function here builds a polynomial directly from a finite sum,
 recurrence, or convolution — never by extracting coefficients of the
 corresponding generating function — so the two routes can be compared
 against each other as independent oracles.  The scalar numbers of
-the kernel power (b + f(t,a))**z come from the same binomial
-recurrences and convolutions as the Apostol-type numbers
-(:func:`kernel_power_numbers`), not from the kernel's series.
+the Apostol-type kernels and of the kernel power (b + f(t,a))**z
+(:func:`kernel_power_numbers`) all come from one power recurrence on
+egf numbers (J. C. P. Miller's), not from the kernel's series.
 
 Conventions worth noting:
 
@@ -223,66 +223,57 @@ def cs_r(kind: str, n: int, r: int) -> MultiPoly:
 # Apostol-type values
 
 
-@lru_cache(maxsize=None)
-def _base_bernoulli_numbers(lam: Fraction, count: int) -> tuple[Fraction, ...]:
-    """Order-1 numbers of t/(lam*e^t - 1), indices 0..count."""
-    out: list[Fraction] = []
-    if lam == 1:
-        for n in range(count + 1):
-            if n == 0:
-                out.append(Fraction(1))
-                continue
-            acc = Fraction(0)
-            for k in range(n):
-                acc += binom(n + 1, k) * out[k]
-            out.append(-acc / (n + 1))
-        return tuple(out)
-    for n in range(count + 1):
-        acc = Fraction(0)
-        for j in range(n):
-            acc += binom(n, j) * out[j]
-        target = Fraction(1 if n == 1 else 0)
-        out.append((target - lam * acc) / (lam - 1))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _base_euler_numbers(lam: Fraction, count: int) -> tuple[Fraction, ...]:
-    """Order-1 numbers of 2/(lam*e^t + 1), indices 0..count."""
-    if lam == -1:
-        raise SingularityError("Euler-type numbers are singular at lam = -1")
-    out: list[Fraction] = []
-    for n in range(count + 1):
-        acc = Fraction(0)
-        for j in range(n):
-            acc += binom(n, j) * out[j]
-        target = Fraction(2 if n == 0 else 0)
-        out.append((target - lam * acc) / (lam + 1))
-    return tuple(out)
-
-
-def _binomial_convolve(a: tuple[Fraction, ...],
-                       b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    return tuple(
-        sum((binom(n, j) * a[j] * b[n - j] for j in range(n + 1)),
-            Fraction(0))
-        for n in range(len(a)))
-
-
-def _binomial_inverse(a: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    """g with sum_j binom(n,j) a_j g_{n-j} = [n == 0]; needs a_0 != 0."""
-    if not a or a[0] == 0:
-        raise SingularityError(
-            "number sequence with zero leading term has no convolution "
-            "inverse")
-    inv0 = 1 / a[0]
-    out: list[Fraction] = [inv0]
-    for n in range(1, len(a)):
+def _egf_power(a: tuple[Fraction, ...], k: int) -> tuple[Fraction, ...]:
+    """The numbers of A(t)**k for the egf numbers a of A(t), by Miller's
+    power recurrence g_0 = a_0**k,
+    n*a_0*g_n = sum_{j=1..n} binom(n,j)*((k+1)*j - n)*a_j*g_{n-j}."""
+    count = len(a)
+    if k == 0:
+        return (Fraction(1),) + (Fraction(0),) * (count - 1)
+    v = next((n for n, x in enumerate(a) if x), count)
+    if v:
+        if k < 0:
+            raise SingularityError(
+                "number sequence with zero leading term has no convolution "
+                "inverse")
+        # A = t^v * U with U a unit: U**k shifted back by t^(v*k)
+        s = v * k
+        if s >= count:
+            return (Fraction(0),) * count
+        unit = tuple(a[m + v] / math.perm(m + v, v)
+                     for m in range(count - s))
+        g = _egf_power(unit, k)
+        return (Fraction(0),) * s + tuple(
+            g[m] * math.perm(m + s, s) for m in range(count - s))
+    out = [a[0] ** k]
+    for n in range(1, count):
         acc = Fraction(0)
         for j in range(1, n + 1):
-            acc += binom(n, j) * a[j] * out[n - j]
-        out.append(-inv0 * acc)
+            if a[j]:
+                acc += binom(n, j) * ((k + 1) * j - n) * a[j] * out[n - j]
+        out.append(acc / (n * a[0]))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _kernel_numbers(kind: str, lam: Fraction,
+                    count: int) -> tuple[Fraction, ...]:
+    """Order-1 numbers, indices 0..count, of t/(lam*e^t - 1) ("B") or
+    2/(lam*e^t + 1) ("E"): the -1 power of the kernel's denominator."""
+    if kind == "B":
+        if lam == 1:  # (e^t - 1)/t
+            return _egf_power(
+                tuple(Fraction(1, n + 1) for n in range(count + 1)), -1)
+        # t times the inverse of lam*e^t - 1: entry n is n * inv[n-1]
+        inv = _egf_power((lam - 1,) + (lam,) * (count - 1), -1)
+        return (Fraction(0),) + tuple(n * inv[n - 1]
+                                      for n in range(1, count + 1))
+    if kind == "E":
+        if lam == -1:
+            raise SingularityError(
+                "Euler-type numbers are singular at lam = -1")
+        return _egf_power(((lam + 1) / 2,) + (lam / 2,) * count, -1)
+    raise UsageError(f"unknown kind {kind!r}; expected 'B' or 'E'")
 
 
 def _apostol_numbers(kind: str, k: int, lam: Fraction, count: int,
@@ -298,22 +289,8 @@ def _apostol_numbers(kind: str, k: int, lam: Fraction, count: int,
 @lru_cache(maxsize=None)
 def _apostol_sequence(kind: str, k: int, lam: Fraction, shift: Fraction,
                       count: int) -> tuple[Fraction, ...]:
-    if kind == "B":
-        base = _base_bernoulli_numbers(lam, count)
-    elif kind == "E":
-        base = _base_euler_numbers(lam, count)
-    else:
-        raise UsageError(f"unknown kind {kind!r}; expected 'B' or 'E'")
-    base = (base[0] + shift,) + base[1:]
-    identity = tuple(Fraction(1 if n == 0 else 0) for n in range(count + 1))
-    if k == 0:
-        return identity
-    result = identity
-    for _ in range(abs(k)):
-        result = _binomial_convolve(result, base)
-    if k < 0:
-        result = _binomial_inverse(result)
-    return result
+    base = _kernel_numbers(kind, lam, count)
+    return _egf_power((base[0] + shift,) + base[1:], k)
 
 
 def kernel_power_numbers(z: int, fkind: str, a: Rational, b: Rational,
@@ -469,13 +446,13 @@ def ppoly(kind: str, n: int, r: int) -> MultiPoly:
 def bernoulli_number(n: int) -> Fraction:
     """The n-th coefficient number of t/(e^t - 1)."""
     _check_n(n)
-    return _base_bernoulli_numbers(Fraction(1), n)[n]
+    return _apostol_numbers("B", 1, Fraction(1), n)[n]
 
 
 def euler_number(n: int) -> Fraction:
     """The n-th coefficient number of 2/(e^t + 1)."""
     _check_n(n)
-    return _base_euler_numbers(Fraction(1), n)[n]
+    return _apostol_numbers("E", 1, Fraction(1), n)[n]
 
 
 @lru_cache(maxsize=None)

@@ -244,9 +244,9 @@ class Bform:
     side = 0
 
     def _series(self, order: int) -> TruncSeries:
+        kernel = build((K1Kernel, K2Kernel)[self.side](self.r), order)
         factor = build(R1(self.z, self.fkind, self.a, self.b), order)
-        kernel = (K1Kernel, K2Kernel)[self.side](self.r)
-        return factor * build(kernel, order) * 2
+        return factor * kernel * 2
 
 
 @dataclass(frozen=True)

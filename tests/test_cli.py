@@ -165,6 +165,18 @@ def test_exit_codes(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("family", ["bform", "b1form", "m1", "m2", "m3"])
+@pytest.mark.parametrize("r", ["9", "0"])
+def test_out_of_range_r_beats_singular_kernel(capsys, family, r):
+    # --r is out of range and the Euler kernel at a = -1 is singular:
+    # both routes report the range error first
+    flags = ("--family", family, "--fkind", "euler", "--a", "-1", "--r", r)
+    series_run = run(capsys, "series", *flags, "--order", "3")
+    table_run = run(capsys, "table", *flags, "--n", "0..3")
+    assert series_run == table_run
+    assert series_run[0] == 2 and "order parameter r" in series_run[2]
+
+
 def test_size_caps_refuse_at_once(capsys, monkeypatch):
     # every size from outside is capped before any computation starts;
     # uncapped, the first request runs for hours

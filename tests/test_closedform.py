@@ -156,10 +156,11 @@ def test_hpoly_frak_h_spot_values():
 @pytest.mark.parametrize("fkind", ["bernoulli", "euler"])
 def test_kernel_power_numbers_match_series(fkind):
     # closed numbers of (b + f(t,a))^z against the R1 series, and the
-    # same singular cases on both routes
-    for z in range(-3, 4):
-        for a in (1, 2, -HALF, -1):
-            for b in (0, 1, HALF, 2, -1):
+    # same singular cases on both routes; |z| reaches the cap, a = 0
+    # gives the kernels -t and 2, so b = 0 and b = -2 leave no constant
+    for z in (*range(-3, 4), -100, -7, 7, 100):
+        for a in (1, 2, -HALF, -1, 0):
+            for b in (0, 1, HALF, 2, -1, -2):
                 try:
                     ser = gf.build(gf.R1(z, fkind, Fraction(a), Fraction(b)),
                                    10)
