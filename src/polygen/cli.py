@@ -21,8 +21,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
@@ -241,11 +242,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
                                        r_max=args.r_max)
     else:
         check_id = args.check_id.replace("-", "_")
-        bounds = identities.default_bounds(check_id)
-        if args.n_max is not None:
-            bounds = replace(bounds, n_max=args.n_max)
-        if args.r_max is not None:
-            bounds = replace(bounds, r_max=args.r_max)
+        bounds = identities.default_bounds(check_id, args.n_max, args.r_max)
         reports = [identities.run_check(check_id, bounds)]
     passed = sum(1 for r in reports if r.passed)
     if args.format == "json":
@@ -349,10 +346,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _glue_negative_fractions(argv: list[str]) -> list[str]:
+    """Spell "--a -1/2" as "--a=-1/2": argparse takes a separate word
+    "-1/2" for an option, but reads it as a value after "="."""
+    out: list[str] = []
+    for word in argv:
+        if (out and re.fullmatch(r"-\d+/\d+", word)
+                and re.fullmatch(r"--\w[\w-]*", out[-1])):
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_glue_negative_fractions(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import RangeError, SingularityError, UsageError
-from .exact import CPoly, MultiPoly, Rational, U, X, binom
+from .exact import CPoly, MultiPoly, Rational, U, X, binom, check_r
 
 _ONE = MultiPoly.const(1)
 _ZERO = MultiPoly.zero()
@@ -36,11 +36,6 @@ def _check_n(n: int) -> None:
     if not isinstance(n, int) or n < 0:
         raise RangeError(f"degree index must be a non-negative integer, "
                          f"got {n!r}")
-
-
-def _check_r(r: int) -> None:
-    if not isinstance(r, int) or not 1 <= r <= 8:
-        raise RangeError(f"order parameter r must lie in 1..8, got {r!r}")
 
 
 # ----------------------------------------------------------------------
@@ -157,7 +152,7 @@ def hermite_gen(n: int, r: int) -> MultiPoly:
     with base H_n(u1) = u1**n.
     """
     _check_n(n)
-    _check_r(r)
+    check_r(r)
     if r == 1:
         return MultiPoly.monomial({"u1": n})
     acc = MultiPoly.zero()
@@ -183,7 +178,7 @@ def kpoly(part: str, n: int, r: int) -> MultiPoly | CPoly:
     sums over shifted Hermite values), "K" the full complex value.
     """
     _check_n(n)
-    _check_r(r)
+    check_r(r)
     if part == "K":
         return CPoly(kpoly("k1", n, r), kpoly("k2", n, r))
     if part not in ("k1", "k2"):
@@ -215,7 +210,7 @@ def cs_r(kind: str, n: int, r: int) -> MultiPoly:
     """Coefficient values of e^(sum u_j t^j)cos(y*t) ("C") or the sine
     counterpart ("S"): alternating y-sums over Hermite-type values."""
     _check_n(n)
-    _check_r(r)
+    check_r(r)
     return y_parity_sum(n, _cs_parity(kind), lambda m: hermite_gen(m, r))
 
 
@@ -377,7 +372,7 @@ def hpoly(kind: str, n: int, z: int, r: int, fkind: str,
     values; "h1" uses value + conjugate, "h2" value - conjugate.
     """
     _check_n(n)
-    _check_r(r)
+    check_r(r)
     if kind not in _H_VARIANTS:
         raise UsageError(
             f"unknown kind {kind!r}; expected 'h', 'h1' or 'h2'")
@@ -393,7 +388,7 @@ def frak_h(kind: int, n: int, z: int, r: int, fkind: str,
     """Kernel-weighted cosine (kind 1) or sine (kind 2) convolutions:
     2 * sum_j binom(n,j) kernel_poly(n-j) * cs_r value at j."""
     _check_n(n)
-    _check_r(r)
+    check_r(r)
     if kind not in (1, 2):
         raise UsageError(f"unknown kind {kind!r}; expected 1 or 2")
     cs_kind = "C" if kind == 1 else "S"
@@ -421,7 +416,7 @@ def ppoly(kind: str, n: int, r: int) -> MultiPoly:
     in P2|_{y -> s} = s*q (reduced ring; needs n >= 1).
     """
     _check_n(n)
-    _check_r(r)
+    check_r(r)
     if kind == "P1":
         return _p12(n, r).re
     if kind == "P2":

@@ -25,12 +25,11 @@ in ``w = x + i*y``.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from typing import Mapping, Union
 
-from .errors import UsageError
+from .errors import RangeError, UsageError
 
 Rational = Fraction
 
@@ -419,35 +418,6 @@ class MultiPoly:
             data["reduced_s"] = True
         return data
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(",", ":"))
-
-    @staticmethod
-    def from_json_dict(data: Mapping) -> "MultiPoly":
-        try:
-            names = list(data["vars"])
-            raw_terms = data["terms"]
-        except (KeyError, TypeError) as exc:
-            raise UsageError(f"malformed polynomial JSON: {exc}") from exc
-        terms: dict[int, Fraction] = {}
-        for term in raw_terms:
-            exps = term["exp"]
-            if len(exps) != len(names):
-                raise UsageError("exponent vector length mismatch")
-            key = 0
-            for name, e in zip(names, exps):
-                if name not in _VIDX:
-                    raise UsageError(f"unknown variable {name!r}")
-                key |= int(e) << (_BITS * _VIDX[name])
-            coef = Fraction(term["coef"])
-            if coef:
-                terms[key] = terms.get(key, Fraction(0)) + coef
-        return MultiPoly(terms, bool(data.get("reduced_s", False)))
-
-    @staticmethod
-    def from_json(text: str) -> "MultiPoly":
-        return MultiPoly.from_json_dict(json.loads(text))
-
 
 def _pack_one(name: str, e: int) -> int:
     return e << (_BITS * _VIDX[name])
@@ -636,22 +606,6 @@ class CPoly:
     def to_json_dict(self) -> dict:
         return {"re": self.re.to_json_dict(), "im": self.im.to_json_dict()}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(",", ":"))
-
-    @staticmethod
-    def from_json_dict(data: Mapping) -> "CPoly":
-        try:
-            return CPoly(MultiPoly.from_json_dict(data["re"]),
-                         MultiPoly.from_json_dict(data["im"]))
-        except KeyError as exc:
-            raise UsageError(
-                f"malformed complex polynomial JSON: {exc}") from exc
-
-    @staticmethod
-    def from_json(text: str) -> "CPoly":
-        return CPoly.from_json_dict(json.loads(text))
-
 
 # ----------------------------------------------------------------------
 # Ready-made symbols
@@ -665,6 +619,13 @@ ONE = MultiPoly.const(1)
 #: w = x + i*y and its conjugate.
 W = CPoly(X, Y)
 W_BAR = CPoly(X, -Y)
+
+
+def check_r(r: int) -> None:
+    """Refuse an order parameter r that has no u1 .. ur in ``U``."""
+    if not isinstance(r, int) or not 1 <= r <= len(U):
+        raise RangeError(
+            f"order parameter r must lie in 1..{len(U)}, got {r!r}")
 
 
 def binom(n: int, k: int) -> int:

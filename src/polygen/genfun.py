@@ -36,7 +36,7 @@ from functools import lru_cache
 
 from . import series
 from .errors import DomainError, RangeError, SingularityError, UsageError
-from .exact import CPoly, MultiPoly, Rational, U, W, X, Y
+from .exact import CPoly, MultiPoly, Rational, U, W, X, Y, check_r
 from .series import TruncSeries
 
 _KERNEL_NAMES = ("bernoulli", "euler")
@@ -381,15 +381,10 @@ def _cos_sin_yt(order: int) -> tuple[TruncSeries, TruncSeries]:
     return series.cos_sin(series.from_t_poly({1: Y}, order, "egf"))
 
 
-def _check_r(r: int) -> None:
-    if not isinstance(r, int) or not 1 <= r <= 8:
-        raise RangeError(f"order parameter r must lie in 1..8, got {r!r}")
-
-
 @lru_cache(maxsize=None)
 def _exp_u(r: int, order: int, shift: object = 0) -> TruncSeries:
     """e^((shift+u1)*t + u2*t^2 + ... + ur*t^r)."""
-    _check_r(r)
+    check_r(r)
     powers = {j: U[j - 1] for j in range(1, r + 1)}
     powers[1] = shift + U[0]
     return series.exp(series.from_t_poly(powers, order, "egf"))

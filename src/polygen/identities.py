@@ -16,8 +16,9 @@ Checks that share a shape (kernel series, the kernel-family grid, the
 Bernoulli/Euler reductions, the number-weighted convolutions) are rows
 of one parameterised generator each, registered once per check id.
 
-Suites group the checks; ``run_suite`` returns reports in a fixed
-catalog order so output is deterministic byte for byte.
+Each section of this file is one suite and ``all`` is every section in
+order; ``run_suite`` returns reports in that fixed catalog order so
+output is deterministic byte for byte.
 """
 
 from __future__ import annotations
@@ -87,6 +88,10 @@ class CheckReport:
 
 CHECKS: dict[str, Callable[[Bounds], CheckReport]] = {}
 DEFAULTS: dict[str, Bounds] = {}
+#: suite name -> check ids in catalog order; a check registered while
+#: a catalog section is open joins that section's suite
+SUITES: dict[str, tuple[str, ...]] = {}
+_section: str | None = None
 
 Comparison = tuple[dict, object, object]
 
@@ -121,9 +126,7 @@ def _register(check_id: str, default: Bounds):
                     return _fail(check_id, bounds, inputs, lhs, rhs)
             return _ok(check_id, bounds)
         runner.__name__ = f"check_{check_id}"
-        CHECKS[check_id] = runner
-        DEFAULTS[check_id] = default
-        return runner
+        return _register_fn(check_id, default)(runner)
     return deco
 
 
@@ -132,6 +135,8 @@ def _register_fn(check_id: str, default: Bounds):
     def deco(fn: Callable[[Bounds], CheckReport]):
         CHECKS[check_id] = fn
         DEFAULTS[check_id] = default
+        if _section is not None:
+            SUITES[_section] = SUITES.get(_section, ()) + (check_id,)
         return fn
     return deco
 
@@ -159,6 +164,7 @@ def _hermite(r: int) -> Callable[[int], MultiPoly]:
 
 # ======================================================================
 # the complex kernel and its real/imaginary split
+_section = "section2"
 
 
 def _kernel_series_check(check_id: str, descriptor, part: str) -> None:
@@ -214,6 +220,7 @@ def _c1_linear_comb(bounds: Bounds) -> Iterator[Comparison]:
 
 # ======================================================================
 # kernel-weighted families
+_section = "section3"
 
 
 def _m_inputs(n: int, r: int, z: int, fkind: str, a, b) -> dict:
@@ -347,6 +354,7 @@ _reduction_checks("mes", "E", gf.B1form, "S")
 
 # ======================================================================
 # powers of w: hypergeometric forms and the inverse-order bridge
+_section = "section4"
 
 
 @_register("n_hypergeom_0f0", Bounds(n_max=12))
@@ -424,6 +432,7 @@ def _stirling_remark(bounds: Bounds) -> Iterator[Comparison]:
 
 # ======================================================================
 # projections onto the adjoined square root and Chebyshev forms
+_section = "section5"
 
 
 @_register("p1p2_r1a_l1a", Bounds(n_max=16, r_max=3))
@@ -505,6 +514,7 @@ def _dickson_su(bounds: Bounds) -> Iterator[Comparison]:
 
 # ======================================================================
 # convolution and derivative identities
+_section = "section6"
 
 
 def _u_or_zero(u: series.TruncSeries, m: int) -> MultiPoly:
@@ -652,6 +662,7 @@ def _tileu2(bounds: Bounds) -> Iterator[Comparison]:
 
 # ======================================================================
 # pinned discrepancies (negative checks)
+_section = "discrepancies"
 
 
 @_register_fn("dickson_gf_discrepancy", Bounds(n_max=8))
@@ -739,26 +750,8 @@ def _dickson_relation_discrepancy(bounds: Bounds) -> CheckReport:
 # suites and entry points
 
 
-SUITES: dict[str, tuple[str, ...]] = {
-    "section2": ("lemma1", "lemma2", "k_decomposition", "k1hc", "k2hs",
-                 "c1_linear_comb"),
-    "section3": ("nk1", "nk2", "nk3", "h_average", "thm_2_3", "thm_2_4",
-                 "bernl_reduction", "bernl_double_sum", "euler_reduction",
-                 "euler_double_sum", "mbs_reduction", "mbs_double_sum",
-                 "mes_reduction", "mes_double_sum"),
-    "section4": ("n_hypergeom_0f0", "n_hypergeom_0f1", "riemann_1y4a",
-                 "riemann_1y4b", "riemann_1y4c", "stirling_remark"),
-    "section5": ("p1p2_r1a_l1a", "p3p4_chebyshev", "ct_su", "dickson_ct",
-                 "dickson_su"),
-    "section6": ("ut_convolution", "dickson_ut", "ect_esu", "bct_bsu",
-                 "dickson_ect_bct", "derivative_block", "t_prime",
-                 "second_derivative", "recurrence_s1_s2", "tileu", "tileu2"),
-    "discrepancies": ("dickson_gf_discrepancy", "gould_hopper_discrepancy",
-                      "dickson_relation_discrepancy"),
-}
-SUITES["all"] = (SUITES["section2"] + SUITES["section3"] + SUITES["section4"]
-                 + SUITES["section5"] + SUITES["section6"]
-                 + SUITES["discrepancies"])
+_section = None
+SUITES["all"] = sum(SUITES.values(), ())
 
 
 def check_ids() -> tuple[str, ...]:
@@ -766,10 +759,18 @@ def check_ids() -> tuple[str, ...]:
     return SUITES["all"]
 
 
-def default_bounds(check_id: str) -> Bounds:
+def default_bounds(check_id: str, n_max: int | None = None,
+                   r_max: int | None = None) -> Bounds:
+    """The catalog bounds of ``check_id``, with ``n_max`` / ``r_max``
+    overriding those fields where given."""
     if check_id not in DEFAULTS:
         raise UsageError(f"unknown check id {check_id!r}")
-    return DEFAULTS[check_id]
+    bounds = DEFAULTS[check_id]
+    if n_max is not None:
+        bounds = replace(bounds, n_max=n_max)
+    if r_max is not None:
+        bounds = replace(bounds, r_max=r_max)
+    return bounds
 
 
 def _validate_bounds(bounds: Bounds) -> None:
@@ -810,12 +811,5 @@ def run_suite(suite: str, n_max: int | None = None,
         raise UsageError(
             f"unknown suite {suite!r}; expected one of "
             f"{', '.join(sorted(SUITES))}")
-    reports = []
-    for check_id in SUITES[suite]:
-        bounds = DEFAULTS[check_id]
-        if n_max is not None:
-            bounds = replace(bounds, n_max=n_max)
-        if r_max is not None:
-            bounds = replace(bounds, r_max=r_max)
-        reports.append(run_check(check_id, bounds))
-    return reports
+    return [run_check(check_id, default_bounds(check_id, n_max, r_max))
+            for check_id in SUITES[suite]]

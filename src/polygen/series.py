@@ -23,7 +23,6 @@ multiplications and stays exact.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from fractions import Fraction
@@ -199,46 +198,9 @@ class TruncSeries:
         return {
             "order": self.order,
             "convention": self.convention,
-            "coeffs": [_coef_json(self.coefficient(n))
+            "coeffs": [self.coefficient(n).to_json_dict()
                        for n in range(self.order + 1)],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(",", ":"))
-
-    @staticmethod
-    def from_json_dict(data: Mapping) -> "TruncSeries":
-        try:
-            order = int(data["order"])
-            convention = data["convention"]
-            coeffs = data["coeffs"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise UsageError(f"malformed series JSON: {exc}") from exc
-        raw = []
-        for n, entry in enumerate(coeffs):
-            value = _coef_from_json(entry)
-            if convention == "egf":
-                value = value * Fraction(1, math.factorial(n))
-            raw.append(value)
-        return TruncSeries(raw, order, convention)
-
-    @staticmethod
-    def from_json(text: str) -> "TruncSeries":
-        return TruncSeries.from_json_dict(json.loads(text))
-
-
-def _coef_json(value: Coef) -> dict:
-    # scalar coefficients (kernel series and their powers) serialize
-    # as constant polynomials so the JSON shape stays uniform
-    if isinstance(value, (int, Fraction)):
-        value = MultiPoly.const(value)
-    return value.to_json_dict()
-
-
-def _coef_from_json(entry: Mapping) -> Coef:
-    if "re" in entry:
-        return CPoly.from_json_dict(entry)
-    return MultiPoly.from_json_dict(entry)
 
 
 # ----------------------------------------------------------------------

@@ -7,8 +7,6 @@ import pytest
 
 from polygen import cli, closedform, series
 from polygen import genfun as gf
-from polygen.exact import CPoly
-from polygen.series import TruncSeries
 
 
 def run(capsys, *argv):
@@ -44,8 +42,7 @@ def test_table_json_round_trip(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["family"] == "nw"
-    rows = [CPoly.from_json_dict(r["value"]) for r in doc["rows"]]
-    assert rows[2] == closedform.npoly(2)
+    assert doc["rows"][2]["value"] == closedform.npoly(2).to_json_dict()
     assert [r["n"] for r in doc["rows"]] == [0, 1, 2, 3]
 
 
@@ -69,8 +66,7 @@ def test_series_json_round_trip(capsys):
                        "--order", "4", "--format", "json")
     assert code == 0
     doc = json.loads(out)
-    ser = TruncSeries.from_json_dict(doc["series"])
-    assert ser == gf.build(gf.CosC(), 4)
+    assert doc["series"] == gf.build(gf.CosC(), 4).to_json_dict()
 
 
 def test_series_default_order_env(capsys, monkeypatch):
@@ -163,6 +159,18 @@ def test_exit_codes(capsys):
     # argparse's own failure path keeps the same usage code
     code, _, err = run(capsys, "frobnicate")
     assert code == 2
+
+
+@pytest.mark.parametrize("family, flag", [
+    ("apostol-euler", "--lambda"), ("r1", "--a"), ("r1", "--b"),
+    ("dickson-d", "--alpha")])
+def test_negative_fraction_as_separate_word(capsys, family, flag):
+    # "--a -1/2" must read like "--a=-1/2", as README spells rationals
+    apart = run(capsys, "table", "--family", family, flag, "-1/2",
+                "--n", "0..2")
+    glued = run(capsys, "table", "--family", family, f"{flag}=-1/2",
+                "--n", "0..2")
+    assert apart == glued and apart[0] == 0 and apart[2] == ""
 
 
 @pytest.mark.parametrize("family", ["bform", "b1form", "m1", "m2", "m3"])
@@ -264,6 +272,28 @@ def test_kernel_tables_are_golden(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 0 and err == "", argv
         parts.append(f"$ polygen {' '.join(argv)}\n{out}")
+    assert "".join(parts).encode() == golden.read_bytes()
+
+
+# one request per JSON writer: egf and ogf series, CPoly coefficients,
+# s-reduced table rows and an aliased family name
+_JSON_OUTPUTS = (
+    "series --family cos-c --order 4 --format json",
+    "series --family chebyshev-t --order 3 --format json",
+    "series --family g-kernel --r 2 --order 3 --format json",
+    "table --family p3 --r 2 --n 0..2 --format json",
+    "expand --family np --n 2 --format json",
+)
+
+
+def test_json_outputs_are_golden(capsys):
+    # JSON is output only; this file pins what the writers print
+    golden = Path(__file__).parent / "data" / "json_outputs.txt"
+    parts = []
+    for request in _JSON_OUTPUTS:
+        code, out, err = run(capsys, *request.split())
+        assert code == 0 and err == "", request
+        parts.append(f"$ polygen {request}\n{out}")
     assert "".join(parts).encode() == golden.read_bytes()
 
 

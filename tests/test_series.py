@@ -120,13 +120,6 @@ def test_default_order(monkeypatch):
         default_order()
 
 
-def test_json_round_trip():
-    f = exp(from_t_poly({1: X, 2: Y}, 5, "egf"))
-    assert TruncSeries.from_json_dict(f.to_json_dict()) == f
-    g = from_t_poly({0: 2, 2: X * -1}, 3, "ogf")
-    assert TruncSeries.from_json(g.to_json()) == g
-
-
 def test_bad_convention():
     with pytest.raises(UsageError):
         from_t_poly({0: 1}, 3, "taylor")
