@@ -32,7 +32,7 @@ from . import genfun as gf
 from . import identities
 from . import series as series_mod
 from .errors import DomainError, RangeError, SingularityError, UsageError
-from .exact import MultiPoly
+from .exact import MultiPoly, json_chunks
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -170,10 +170,15 @@ def _family_params(args: argparse.Namespace) -> tuple[Family, dict]:
 
 
 def _print_json(family: Family, params: dict, **body: object) -> None:
+    """Write the payload piece by piece through ``sys.stdout.write``,
+    looked up here, so that a replaced ``sys.stdout`` sees every byte."""
     shown = {_flag(dest): value if isinstance(value, (int, str))
              else str(value) for dest, value in params.items()}
-    payload = {"family": family.name, "params": shown, **body}
-    print(json.dumps(payload, indent=2))
+    write = sys.stdout.write
+    for chunk in json_chunks({"family": family.name, "params": shown,
+                              **body}):
+        write(chunk)
+    write("\n")
 
 
 def _print_rows(fmt: str, rows: Iterable[tuple[int, object]]) -> None:
@@ -196,8 +201,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
     rows = [(n, family.closed_fn(n, *params.values()))
             for n in _parse_n_range(args.n)]
     if args.format == "json":
-        _print_json(family, params, rows=[
-            {"n": n, "value": value.to_json_dict()} for n, value in rows])
+        _print_json(family, params,
+                    rows=[{"n": n, "value": value} for n, value in rows])
     else:
         _print_rows(args.format, rows)
     return 0
@@ -212,7 +217,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
              else series_mod.default_order())
     ser = gf.build(family.descriptor(*params.values()), order)
     if args.format == "json":
-        _print_json(family, params, series=ser.to_json_dict())
+        _print_json(family, params, series=ser.json_fields())
     else:
         _print_rows(args.format,
                     ((n, ser.coefficient(n)) for n in range(order + 1)))
@@ -226,7 +231,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
         raise UsageError("expand takes a single n, not a range")
     value = family.closed_fn(ns[0], *params.values())
     if args.format == "json":
-        _print_json(family, params, n=ns[0], value=value.to_json_dict())
+        _print_json(family, params, n=ns[0], value=value)
     elif args.format == "csv":
         _print_rows("csv", [(ns[0], value)])
     else:

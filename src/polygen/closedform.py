@@ -25,7 +25,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import RangeError, SingularityError, UsageError
+from .errors import (EULER_POLE, ZERO_CONSTANT_TERM, RangeError,
+                     SingularityError, UsageError)
 from .exact import CPoly, MultiPoly, Rational, U, X, binom, check_r
 
 _ONE = MultiPoly.const(1)
@@ -228,9 +229,7 @@ def _egf_power(a: tuple[Fraction, ...], k: int) -> tuple[Fraction, ...]:
     v = next((n for n, x in enumerate(a) if x), count)
     if v:
         if k < 0:
-            raise SingularityError(
-                "number sequence with zero leading term has no convolution "
-                "inverse")
+            raise SingularityError(ZERO_CONSTANT_TERM)
         # A = t^v * U with U a unit: U**k shifted back by t^(v*k)
         s = v * k
         if s >= count:
@@ -265,8 +264,7 @@ def _kernel_numbers(kind: str, lam: Fraction,
                                       for n in range(1, count + 1))
     if kind == "E":
         if lam == -1:
-            raise SingularityError(
-                "Euler-type numbers are singular at lam = -1")
+            raise SingularityError(EULER_POLE)
         return _egf_power(((lam + 1) / 2,) + (lam / 2,) * count, -1)
     raise UsageError(f"unknown kind {kind!r}; expected 'B' or 'E'")
 
@@ -321,14 +319,7 @@ def apostol(kind: str, n: int, k: int, lam: Rational) -> MultiPoly:
     _check_n(n)
     if not isinstance(k, int):
         raise UsageError(f"order k must be an integer, got {k!r}")
-    lam = Fraction(lam)
-    if kind == "E" and lam == -1:
-        raise SingularityError("Euler-type values are singular at lam = -1")
-    if kind == "B" and k < 0 and lam != 1:
-        raise SingularityError(
-            "negative-order Bernoulli-type values need lam = 1; the kernel "
-            "t/(lam*e^t - 1) has no series inverse otherwise")
-    return _appell(_apostol_numbers(kind, k, lam, n), n)
+    return _appell(_apostol_numbers(kind, k, Fraction(lam), n), n)
 
 
 @lru_cache(maxsize=None)

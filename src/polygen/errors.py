@@ -33,6 +33,12 @@ class RangeError(PolygenError):
     """An index or size parameter falls outside the supported range."""
 
 
+#: The singularities that both routes can meet, worded once so that
+#: ``table`` and ``series`` report the same singular request alike.
+EULER_POLE = "kernel 2/(a*e^t + 1) is singular at a = -1"
+ZERO_CONSTANT_TERM = "cannot invert a series whose constant term is zero"
+
+
 class SingularityError(PolygenError):
     """A construction would divide by a series that is not a unit.
 

@@ -25,9 +25,10 @@ in ``w = x + i*y``.
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import RangeError, UsageError
 
@@ -74,11 +75,6 @@ def _exp_of(key: int, index: int) -> int:
 
 _S_IDX = _VIDX["s"]
 _X_IDX = _VIDX["x"]
-
-
-def _term_order(item: tuple[int, Fraction]) -> tuple[int, tuple[int, ...]]:
-    exps = _unpack(item[0])
-    return (sum(exps), exps)
 
 
 class MultiPoly:
@@ -253,16 +249,6 @@ class MultiPoly:
             return self.terms[0]
         return None
 
-    def support(self) -> tuple[str, ...]:
-        """Variables that actually occur, in canonical alphabet order."""
-        used = set()
-        for key in self.terms:
-            exps = _unpack(key)
-            for i, e in enumerate(exps):
-                if e:
-                    used.add(i)
-        return tuple(VARS[i] for i in sorted(used))
-
     # ------------------------------------------------------------------
     # calculus and substitution
 
@@ -318,12 +304,15 @@ class MultiPoly:
                 powers[e] = rep_power(e - 1) * replacement
             return powers[e]
 
-        result = MultiPoly.zero(self.reduced_s)
+        out = {}
         for key, coef in self.terms.items():
             e = _exp_of(key, idx)
-            rest = _raw({key - e * step: coef}, self.reduced_s)
-            result = result + rest * rep_power(e)
-        return result
+            rest = key - e * step
+            for k2, c2 in rep_power(e).terms.items():
+                _accumulate(out, rest + k2, coef * c2)
+        if self.reduced_s:
+            out = _reduce_terms(out)
+        return _raw(out, self.reduced_s)
 
     def eval(self, assignment: Mapping[str, Scalar]) -> Fraction:
         """Evaluate at an exact rational point.
@@ -383,17 +372,13 @@ class MultiPoly:
     # ------------------------------------------------------------------
     # rendering and serialization
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        """Terms in canonical order: graded, then lexicographic, descending."""
-        items = sorted(self.terms.items(), key=_term_order, reverse=True)
-        return [(_unpack(k), c) for k, c in items]
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
+        names, rows = _canonical(self.terms)
         parts: list[str] = []
-        for exps, coef in self.sorted_terms():
-            body = _term_string(exps, coef)
+        for exps, coef in rows:
+            body = _term_string(names, exps, coef)
             if not parts:
                 parts.append(body if coef > 0 else "-" + body)
             else:
@@ -405,18 +390,7 @@ class MultiPoly:
         return f"MultiPoly({self}{flag})"
 
     def to_json_dict(self) -> dict:
-        support = self.support()
-        idx = [_VIDX[name] for name in support]
-        terms = []
-        for exps, coef in self.sorted_terms():
-            terms.append({
-                "exp": [exps[i] for i in idx],
-                "coef": str(coef),
-            })
-        data = {"vars": list(support), "terms": terms}
-        if self.reduced_s:
-            data["reduced_s"] = True
-        return data
+        return json.loads("".join(json_chunks(self)))
 
 
 def _pack_one(name: str, e: int) -> int:
@@ -468,10 +442,37 @@ def _reduce_terms(terms: dict[int, Fraction]) -> dict[int, Fraction]:
     return out
 
 
-def _term_string(exps: tuple[int, ...], coef: Fraction) -> str:
+def _canonical(terms: Mapping[int, Fraction]
+               ) -> tuple[tuple[str, ...], list[tuple[list[int], Fraction]]]:
+    """The variables that occur, and the terms in canonical order.
+
+    Exponents are non-negative bit fields, so a variable occurs exactly
+    when its field is nonzero in the OR of all keys.  Each key is
+    unpacked once, over those variables only, into exponents aligned
+    with the returned names.  The order is graded, then lexicographic,
+    both descending; the absent variables, zero in every term, cannot
+    change it.
+    """
+    used = 0
+    for key in terms:
+        used |= key
+    shifts = [sh for sh in range(0, _BITS * len(VARS), _BITS)
+              if (used >> sh) & _MASK]
+    rows = [([(key >> sh) & _MASK for sh in shifts], coef)
+            for key, coef in terms.items()]
+    rows.sort(key=_graded, reverse=True)
+    return tuple(VARS[sh // _BITS] for sh in shifts), rows
+
+
+def _graded(row: tuple[list[int], Fraction]) -> tuple[int, list[int]]:
+    return (sum(row[0]), row[0])
+
+
+def _term_string(names: tuple[str, ...], exps: list[int],
+                 coef: Fraction) -> str:
     mono = "*".join(
-        VARS[i] if e == 1 else f"{VARS[i]}^{e}"
-        for i, e in enumerate(exps) if e
+        name if e == 1 else f"{name}^{e}"
+        for name, e in zip(names, exps) if e
     )
     mag = abs(coef)
     if not mono:
@@ -604,7 +605,67 @@ class CPoly:
         return f"CPoly({self})"
 
     def to_json_dict(self) -> dict:
-        return {"re": self.re.to_json_dict(), "im": self.im.to_json_dict()}
+        return json.loads("".join(json_chunks(self)))
+
+
+# ----------------------------------------------------------------------
+# JSON output
+
+
+def json_chunks(value: object, pad: str = "") -> Iterator[str]:
+    """The text of ``json.dumps(value, indent=2)``, in pieces, for a
+    value whose first line sits at indent ``pad``.
+
+    A MultiPoly is written as ``{"vars": [...], "terms": [{"exp": [...],
+    "coef": "p/q"}, ...]}``, with ``"reduced_s": true`` when the flag is
+    set; ``exp`` lists the exponents of the ``vars`` that occur, in
+    alphabet order, and the terms come in canonical order.  Each
+    MultiPoly is one piece, built straight from its term dict.  A CPoly
+    is ``{"re": ..., "im": ...}``.  A dict is an object; str, int and
+    bool are scalars; any other iterable is an array whose elements are
+    taken and written one at a time, so a generator of coefficients is
+    never held whole.
+    """
+    if isinstance(value, MultiPoly):
+        yield _poly_json(value, pad)
+    elif isinstance(value, CPoly):
+        yield from json_chunks({"re": value.re, "im": value.im}, pad)
+    elif isinstance(value, (str, int)):
+        yield json.dumps(value)
+    else:
+        is_dict = isinstance(value, dict)
+        members = value.items() if is_dict else ((None, v) for v in value)
+        opening, closing = "{}" if is_dict else "[]"
+        inner = pad + "  "
+        sep = opening
+        for key, item in members:
+            yield f"{sep}\n{inner}" + (
+                "" if key is None else json.dumps(key) + ": ")
+            yield from json_chunks(item, inner)
+            sep = ","
+        yield f"\n{pad}{closing}" if sep == "," else opening + closing
+
+
+def _poly_json(p: MultiPoly, pad: str) -> str:
+    names, rows = _canonical(p.terms)
+    i1 = pad + "  "
+    i2 = i1 + "  "
+    i3 = i2 + "  "
+    terms = [f'{{\n{i3}"exp": {_json_array(map(str, exps), i3)},\n'
+             f'{i3}"coef": "{coef}"\n{i2}}}' for exps, coef in rows]
+    names_json = _json_array(map(json.dumps, names), i1)
+    text = (f'{{\n{i1}"vars": {names_json},\n'
+            f'{i1}"terms": {_json_array(terms, i1)}')
+    if p.reduced_s:
+        text += f',\n{i1}"reduced_s": true'
+    return f"{text}\n{pad}}}"
+
+
+def _json_array(texts: Iterable[str], pad: str) -> str:
+    """An indented array of element texts, none of them empty."""
+    inner = pad + "  "
+    body = (",\n" + inner).join(texts)
+    return f"[\n{inner}{body}\n{pad}]" if body else "[]"
 
 
 # ----------------------------------------------------------------------

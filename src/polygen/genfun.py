@@ -35,7 +35,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import series
-from .errors import DomainError, RangeError, SingularityError, UsageError
+from .errors import (EULER_POLE, DomainError, RangeError, SingularityError,
+                     UsageError)
 from .exact import CPoly, MultiPoly, Rational, U, W, X, Y, check_r
 from .series import TruncSeries
 
@@ -359,7 +360,7 @@ def _bernoulli_kernel(a: Fraction, order: int) -> TruncSeries:
 def _euler_kernel(a: Fraction, order: int) -> TruncSeries:
     """2 / (a*e^t + 1); a = -1 kills the constant term, a true pole."""
     if a == -1:
-        raise SingularityError("kernel 2/(a*e^t + 1) is singular at a = -1")
+        raise SingularityError(EULER_POLE)
     denom = TruncSeries(
         [a + 1] + [a * Fraction(1, math.factorial(n))
                    for n in range(1, order + 1)],

@@ -23,13 +23,15 @@ multiplications and stays exact.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence, Union
 
-from .errors import DomainError, RangeError, SingularityError, UsageError
-from .exact import CPoly, MultiPoly
+from .errors import (ZERO_CONSTANT_TERM, DomainError, RangeError,
+                     SingularityError, UsageError)
+from .exact import CPoly, MultiPoly, json_chunks
 
 Coef = Union[MultiPoly, CPoly]
 
@@ -194,13 +196,14 @@ class TruncSeries:
     # ------------------------------------------------------------------
     # serialization
 
+    def json_fields(self) -> dict:
+        """The JSON object of the series for :func:`exact.json_chunks`;
+        each coefficient is scaled only when the writer reaches it."""
+        return {"order": self.order, "convention": self.convention,
+                "coeffs": map(self.coefficient, range(self.order + 1))}
+
     def to_json_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "convention": self.convention,
-            "coeffs": [self.coefficient(n).to_json_dict()
-                       for n in range(self.order + 1)],
-        }
+        return json.loads("".join(json_chunks(self.json_fields())))
 
 
 # ----------------------------------------------------------------------
@@ -285,12 +288,12 @@ def invert(f: TruncSeries) -> TruncSeries:
     The constant term must be a nonzero plain rational; anything else
     (zero, or a genuinely polynomial constant term) is a singularity.
     """
-    c0 = f.raw(0)
-    value = _unit_value(c0)
-    if value is None or value == 0:
+    value = _unit_value(f.raw(0))
+    if value is None:
         raise SingularityError(
-            "cannot invert a series whose constant term is not a "
-            "nonzero rational")
+            "cannot invert a series whose constant term is not a rational")
+    if value == 0:
+        raise SingularityError(ZERO_CONSTANT_TERM)
     n = f.order
     inv0 = Fraction(1, 1) / value
     g: list[Coef] = [MultiPoly.const(inv0)]

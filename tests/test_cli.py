@@ -1,6 +1,7 @@
 """End-to-end command tests driven through cli.main()."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -276,13 +277,17 @@ def test_kernel_tables_are_golden(capsys):
 
 
 # one request per JSON writer: egf and ogf series, CPoly coefficients,
-# s-reduced table rows and an aliased family name
+# s-reduced table rows, an aliased family name, CPoly table rows,
+# constant table rows and zero series coefficients
 _JSON_OUTPUTS = (
     "series --family cos-c --order 4 --format json",
     "series --family chebyshev-t --order 3 --format json",
     "series --family g-kernel --r 2 --order 3 --format json",
     "table --family p3 --r 2 --n 0..2 --format json",
     "expand --family np --n 2 --format json",
+    "table --family m2 --n 0..3 --format json",
+    "table --family r1 --n 0..3 --format json",
+    "series --family sin-s --order 4 --format json",
 )
 
 
@@ -295,6 +300,57 @@ def test_json_outputs_are_golden(capsys):
         assert code == 0 and err == "", request
         parts.append(f"$ polygen {request}\n{out}")
     assert "".join(parts).encode() == golden.read_bytes()
+
+
+class _WriteOnly:
+    """A stdout with nothing but ``write``, like a counting wrapper that
+    sees only what goes through ``write``; it notes the index of the
+    last series coefficient computed before each piece."""
+
+    def __init__(self, computed):
+        self.computed = computed
+        self.pieces = []
+
+    def write(self, text):
+        self.pieces.append((self.computed[-1] if self.computed else None,
+                            text))
+        return len(text)
+
+
+def test_json_goes_through_stdout_write(capsys, monkeypatch):
+    # sys.stdout is looked up when writing, and each series coefficient
+    # is written as soon as it is computed
+    computed = []
+    coefficient = series.TruncSeries.coefficient
+    monkeypatch.setattr(series.TruncSeries, "coefficient", lambda self, n: (
+        computed.append(n), coefficient(self, n))[1])
+    for request in _JSON_OUTPUTS:
+        expected = run(capsys, *request.split())[1]
+        computed.clear()
+        out = _WriteOnly(computed)
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", out)
+            code = cli.main(request.split())
+        assert code == 0 and "".join(t for _, t in out.pieces) == expected
+        assert {n for n, _ in out.pieces} >= set(computed)
+
+
+def test_failed_json_table_writes_nothing(capsys):
+    # every row is computed before the first byte: p4 refuses row 0
+    code, out, err = run(capsys, "table", "--family", "p4", "--n", "0..3",
+                         "--format", "json")
+    assert code == 2 and out == "" and "n >= 1" in err
+
+
+@pytest.mark.parametrize("flags", [
+    "--family r1 --z -2 --b -1",
+    "--family apostol-euler --lambda -1",
+    "--family r1 --z -1 --fkind euler --a -1"])
+def test_singular_request_reads_alike_on_both_routes(capsys, flags):
+    table_run = run(capsys, "table", *flags.split(), "--n", "0..3")
+    series_run = run(capsys, "series", *flags.split(), "--order", "3")
+    assert table_run[0] == series_run[0] == 3
+    assert table_run[2] == series_run[2] and table_run[1] == ""
 
 
 # a non-default value for every family flag, each differing from the

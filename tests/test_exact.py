@@ -1,5 +1,6 @@
 """Ring behavior of the sparse polynomial core."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from polygen.errors import UsageError
 from polygen.exact import (VARS, CPoly, MultiPoly, S, U, W, W_BAR, X, Y,
-                           binom, falling)
+                           _unpack, binom, falling, json_chunks)
 
 
 def test_canonical_strings():
@@ -318,3 +319,61 @@ def test_cpoly_times_poly_checks_reduced_flag():
             z * p
         with pytest.raises(UsageError):
             p * z
+
+
+@given(polys(), polys(), _names, _points, st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_poly_substitute_matches_eval(p, q, var, point, reduced):
+    if reduced:
+        # the rewrite s^2 -> 1 - x^2 keeps values only where it holds,
+        # and substituting for x or s would leave that circle
+        p, q = p.reduce_s(), q.reduce_s()
+        point = {**point, "x": Fraction(3, 5), "s": Fraction(4, 5)}
+        if var in ("x", "s"):
+            var = "y"
+    got = p.substitute(var, q)
+    assert got.reduced_s is reduced
+    assert got.eval(point) == p.eval({**point, var: q.eval(point)})
+    if reduced:
+        # the result is in reduced form: rewriting again changes nothing
+        assert got.terms == MultiPoly(got.terms, reduced_s=True).terms
+
+
+def _expected_json(p):
+    # the documented shape, read from the term dict and the alphabet
+    exps = {key: _unpack(key) for key in p.terms}
+    used = [i for i, name in enumerate(VARS)
+            if any(e[i] for e in exps.values())]
+    order = sorted(p.terms, key=lambda k: (sum(exps[k]), exps[k]),
+                   reverse=True)
+    data = {"vars": [VARS[i] for i in used],
+            "terms": [{"exp": [exps[k][i] for i in used],
+                       "coef": str(p.terms[k])} for k in order]}
+    if p.reduced_s:
+        data["reduced_s"] = True
+    return data
+
+
+_json_polys = st.one_of(polys(), _coefs.map(MultiPoly.const),
+                        st.just(MultiPoly.zero()))
+
+
+@given(_json_polys, _json_polys, st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_json_writer_matches_json_dumps(p, q, reduced):
+    if reduced:
+        p, q = p.reduce_s(), q.reduce_s()
+    for value, expected in (
+            (p, _expected_json(p)),
+            (CPoly(p, q), {"re": _expected_json(p), "im": _expected_json(q)}),
+            (CPoly.real(p), {"re": _expected_json(p),
+                             "im": _expected_json(MultiPoly.zero(reduced))})):
+        assert "".join(json_chunks(value)) == json.dumps(expected, indent=2)
+    # nested, with arrays read from generators, and empty containers
+    doc = {"n": 3, "flag": True, "params": {}, "empty": iter(()),
+           "rows": iter([{"value": p}, {"value": CPoly(p, q)}])}
+    expected = {"n": 3, "flag": True, "params": {}, "empty": [],
+                "rows": [{"value": _expected_json(p)},
+                         {"value": {"re": _expected_json(p),
+                                    "im": _expected_json(q)}}]}
+    assert "".join(json_chunks(doc)) == json.dumps(expected, indent=2)
