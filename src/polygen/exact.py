@@ -4,10 +4,16 @@ Polynomials live in a single fixed, ordered alphabet
 
     x < y < s < a < b < lambda < alpha < u1 < u2 < ... < u8
 
-with ``fractions.Fraction`` coefficients throughout; floats are
-rejected at every entry point.  A polynomial is a mapping from packed
-exponent vectors to nonzero coefficients, so adding two packed keys
-multiplies the underlying monomials.
+with rational coefficients; floats are rejected at every entry point.
+A polynomial is stored as integer numerators over one common
+denominator, the layout of FLINT's ``fmpq_poly``: a mapping from packed
+exponent vectors to nonzero ``int`` numerators, and one ``int``
+denominator ``den > 0``, always in lowest terms
+(``gcd(den, *numerators) == 1``; zero is ``({}, 1)``).  Every operation
+works on ints and ends with one ``math.gcd`` normalisation, so equal
+polynomials have equal representations.  Adding two packed keys
+multiplies the underlying monomials.  ``MultiPoly.terms`` gives the
+coefficients as ``Fraction`` values, for reading only.
 
 The symbol ``s`` plays a special role: it is an adjoined square root
 satisfying ``s**2 == 1 - x**2``.  A polynomial carrying the
@@ -28,6 +34,8 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import RangeError, UsageError
@@ -43,20 +51,25 @@ VARS: tuple[str, ...] = (
 _VIDX: dict[str, int] = {name: i for i, name in enumerate(VARS)}
 
 # Exponents are packed into one int, 16 bits per variable, so that
-# integer addition of keys is monomial multiplication.  Total degrees
-# stay tiny (tens), so 16 bits can never overflow.
+# integer addition of keys is monomial multiplication.  The top bit of
+# each field is a guard: exponents go up to _MAX_EXP, so the sum of two
+# never carries into the next field, and a result whose keys set a
+# guard bit is refused instead of being read as another monomial.
 _BITS = 16
 _MASK = (1 << _BITS) - 1
+_MAX_EXP = (1 << (_BITS - 1)) - 1
+_GUARD = sum(1 << (_BITS * i + _BITS - 1) for i in range(len(VARS)))
 
 Scalar = Union[int, Fraction]
 
 
-def _coerce(value: object) -> Fraction:
-    """Coerce an exact scalar to Fraction, rejecting floats and bools."""
-    if isinstance(value, Fraction):
-        return value
+def _ratio(value: object) -> tuple[int, int]:
+    """An exact scalar as (numerator, denominator > 0), in lowest terms;
+    floats and bools are rejected."""
     if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
+        return value, 1
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
     raise UsageError(f"expected an exact rational, got {type(value).__name__}")
 
 
@@ -75,48 +88,66 @@ def _exp_of(key: int, index: int) -> int:
 
 _S_IDX = _VIDX["s"]
 _X_IDX = _VIDX["x"]
+#: The bits of the s field worth 2 or more: set in the OR of the keys
+#: exactly when some term needs the rewrite s^2 -> 1 - x^2.
+_S_HIGH = (_MASK ^ 1) << (_BITS * _S_IDX)
+
+
+def _const_num(num: dict[int, int]) -> int | None:
+    """The numerator of a constant polynomial, or None if non-constant."""
+    if not num:
+        return 0
+    if len(num) == 1:
+        return num.get(0)
+    return None
 
 
 class MultiPoly:
     """Sparse exact polynomial over the fixed alphabet.
 
-    Instances are immutable by convention: no method mutates ``terms``
-    after construction, which makes polynomials safe to share and to
-    use as cache keys.
+    ``num`` maps packed keys to nonzero int numerators over the one
+    denominator ``den``; see the module docstring.  Instances are
+    immutable by convention: no method mutates ``num`` after
+    construction, which makes polynomials safe to share and to use as
+    cache keys.
     """
 
-    __slots__ = ("terms", "reduced_s", "_hash")
+    __slots__ = ("num", "den", "reduced_s", "_hash")
 
-    def __init__(self, terms: Mapping[int, Fraction] | None = None,
+    def __init__(self, terms: Mapping[int, Scalar] | None = None,
                  reduced_s: bool = False):
-        cleaned: dict[int, Fraction] = {}
-        if terms:
-            for key, coef in terms.items():
-                c = _coerce(coef)
-                if c:
-                    cleaned[key] = c
-        if reduced_s:
-            cleaned = _reduce_terms(cleaned)
-        self.terms = cleaned
+        pairs = [(key, _ratio(coef)) for key, coef in (terms or {}).items()]
+        den = math.lcm(*(q for _, (_, q) in pairs))
+        made = _normal({key: p * (den // q) for key, (p, q) in pairs if p},
+                       den, reduced_s, True)
+        self.num = made.num
+        self.den = made.den
         self.reduced_s = reduced_s
         self._hash: int | None = None
+
+    @property
+    def terms(self) -> dict[int, Fraction]:
+        """The coefficients as ``{key: Fraction}``, built on each read."""
+        den = self.den
+        return {key: Fraction(v, den) for key, v in self.num.items()}
 
     # ------------------------------------------------------------------
     # constructors
 
     @staticmethod
     def zero(reduced_s: bool = False) -> "MultiPoly":
-        return MultiPoly({}, reduced_s)
+        return _raw({}, 1, reduced_s)
 
     @staticmethod
     def const(value: Scalar, reduced_s: bool = False) -> "MultiPoly":
-        return MultiPoly({0: _coerce(value)}, reduced_s)
+        p, q = _ratio(value)
+        return _raw({0: p} if p else {}, q, reduced_s)
 
     @staticmethod
     def variable(name: str, reduced_s: bool = False) -> "MultiPoly":
         if name not in _VIDX:
             raise UsageError(f"unknown variable {name!r}")
-        return MultiPoly({_pack_one(name, 1): Fraction(1)}, reduced_s)
+        return _raw({_pack_one(name, 1): 1}, 1, reduced_s)
 
     @staticmethod
     def monomial(exps: Mapping[str, int], coef: Scalar = 1,
@@ -127,8 +158,12 @@ class MultiPoly:
                 raise UsageError(f"unknown variable {name!r}")
             if e < 0:
                 raise UsageError("negative exponents are not representable")
+            if e > _MAX_EXP:
+                raise RangeError(
+                    f"exponents above {_MAX_EXP} are not representable")
             key |= e << (_BITS * _VIDX[name])
-        return MultiPoly({key: _coerce(coef)}, reduced_s)
+        p, q = _ratio(coef)
+        return _normal({key: p}, q, reduced_s, reduced_s)
 
     # ------------------------------------------------------------------
     # ring structure
@@ -140,57 +175,76 @@ class MultiPoly:
                 "call reduce_s() on one side first")
 
     def __add__(self, other: object) -> "MultiPoly":
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.const(other, self.reduced_s)
         if not isinstance(other, MultiPoly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = MultiPoly.const(other, self.reduced_s)
         self._check_compatible(other)
-        out = dict(self.terms)
-        for key, coef in other.terms.items():
-            _accumulate(out, key, coef)
-        return _raw(out, self.reduced_s)
+        a, da, b, db = self.num, self.den, other.num, other.den
+        if not b:
+            return self
+        if not a:
+            return other
+        if len(b) > len(a):
+            a, da, b, db = b, db, a, da
+        # both over lcm(da, db); a side whose den is already that keeps
+        # its numerators
+        g = math.gcd(da, db)
+        ma, mb = db // g, da // g
+        out = dict(a) if ma == 1 else {k: v * ma for k, v in a.items()}
+        if mb != 1:
+            b = {k: v * mb for k, v in b.items()}
+        get = out.get
+        for k, v in b.items():
+            out[k] = get(k, 0) + v
+        return _normal(out, da * ma, self.reduced_s)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return _raw({k: -c for k, c in self.terms.items()}, self.reduced_s)
+        return _raw({k: -v for k, v in self.num.items()}, self.den,
+                    self.reduced_s)
 
     def __sub__(self, other: object) -> "MultiPoly":
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.const(other, self.reduced_s)
         if not isinstance(other, MultiPoly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = MultiPoly.const(other, self.reduced_s)
         return self.__add__(other.__neg__())
 
     def __rsub__(self, other: object) -> "MultiPoly":
         return self.__neg__().__add__(other)
 
     def __mul__(self, other: object) -> "MultiPoly":
-        if isinstance(other, (int, Fraction)):
-            return self._scaled(_coerce(other))
         if not isinstance(other, MultiPoly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            return self._scaled(*_ratio(other))
         self._check_compatible(other)
+        a, b = self.num, other.num
         # a constant factor on either side only scales the other one
-        if (c := other.const_value()) is not None:
-            return self._scaled(c)
-        if (c := self.const_value()) is not None:
-            return other._scaled(c)
-        out: dict[int, Fraction] = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                _accumulate(out, k1 + k2, c1 * c2)
-        if self.reduced_s:
-            out = _reduce_terms(out)
-        return _raw(out, self.reduced_s)
+        if (c := _const_num(b)) is not None:
+            return self._scaled(c, other.den)
+        if (c := _const_num(a)) is not None:
+            return other._scaled(c, self.den)
+        out: dict[int, int] = {}
+        get = out.get
+        for k1, v1 in a.items():
+            for k2, v2 in b.items():
+                k = k1 + k2
+                out[k] = get(k, 0) + v1 * v2
+        return _normal(out, self.den * other.den, self.reduced_s, True)
 
-    def _scaled(self, c: Fraction) -> "MultiPoly":
-        if c == 1:
+    def _scaled(self, p: int, q: int) -> "MultiPoly":
+        """self * p/q for ints p and q > 0."""
+        if p == q:
             return self
-        if not c:
+        if not p:
             return MultiPoly.zero(self.reduced_s)
-        return _raw({k: v * c for k, v in self.terms.items()},
-                    self.reduced_s)
+        num = self.num
+        if p != 1:
+            num = {k: v * p for k, v in num.items()}
+        return _normal(num, self.den * q, self.reduced_s)
 
     __rmul__ = __mul__
 
@@ -208,46 +262,43 @@ class MultiPoly:
         return result
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, bool):
-            return NotImplemented
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.const(other, self.reduced_s)
-        if isinstance(other, CPoly):
-            return other.__eq__(self)
         if not isinstance(other, MultiPoly):
-            return NotImplemented
-        # a constant equals its value whatever its flag, as its hash does
-        return self.terms == other.terms and (
+            if isinstance(other, CPoly):
+                return other.__eq__(self)
+            if isinstance(other, bool) or not isinstance(
+                    other, (int, Fraction)):
+                return NotImplemented
+            other = MultiPoly.const(other, self.reduced_s)
+        # the form is canonical; a constant equals its value whatever
+        # its flag, as its hash does
+        return self.den == other.den and self.num == other.num and (
             self.reduced_s == other.reduced_s
-            or self.const_value() is not None)
+            or _const_num(self.num) is not None)
 
     def __hash__(self) -> int:
         # A constant equals its scalar value, so it must hash as that value.
         if self._hash is None:
-            const = self.const_value()
+            const = _const_num(self.num)
             if const is not None:
-                self._hash = hash(const)
+                self._hash = hash(Fraction(const, self.den))
             else:
-                items = tuple(sorted(self.terms.items()))
-                self._hash = hash((items, self.reduced_s))
+                self._hash = hash((frozenset(self.num.items()), self.den,
+                                   self.reduced_s))
         return self._hash
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.num)
 
     # ------------------------------------------------------------------
     # queries
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def const_value(self) -> Fraction | None:
         """The value of a constant polynomial, or None if non-constant."""
-        if not self.terms:
-            return Fraction(0)
-        if len(self.terms) == 1 and 0 in self.terms:
-            return self.terms[0]
-        return None
+        const = _const_num(self.num)
+        return None if const is None else Fraction(const, self.den)
 
     # ------------------------------------------------------------------
     # calculus and substitution
@@ -265,54 +316,55 @@ class MultiPoly:
             raise UsageError(
                 "partial derivatives in x or s are not defined in the "
                 "s-reduced ring")
-        idx = _VIDX[var]
-        out: dict[int, Fraction] = {}
-        for key, coef in self.terms.items():
-            e = _exp_of(key, idx)
+        shift = _BITS * _VIDX[var]
+        step = 1 << shift
+        out: dict[int, int] = {}
+        for key, v in self.num.items():
+            e = (key >> shift) & _MASK
             if e:
-                out[key - (1 << (_BITS * idx))] = coef * e
-        return _raw(out, self.reduced_s)
+                out[key - step] = v * e
+        return _normal(out, self.den, self.reduced_s)
 
     def substitute(self, var: str,
                    replacement: "MultiPoly | Scalar") -> "MultiPoly":
         """Substitute a polynomial (or scalar) for one variable."""
         if var not in _VIDX:
             raise UsageError(f"unknown variable {var!r}")
-        idx = _VIDX[var]
-        step = 1 << (_BITS * idx)
+        shift = _BITS * _VIDX[var]
+        step = 1 << shift
+        top = max(((key >> shift) & _MASK for key in self.num), default=0)
+        out: dict[int, int] = {}
+        get = out.get
         if isinstance(replacement, (int, Fraction)):
-            # A scalar maps each term to coef*c^e at a lower key.  It can
-            # never raise an s-exponent, so an s-reduced result stays
-            # reduced and needs no rewrite.
-            c = _coerce(replacement)
-            out: dict[int, Fraction] = {}
-            for key, coef in self.terms.items():
-                e = _exp_of(key, idx)
-                if e:
-                    if not c:
-                        continue
-                    coef = coef * c ** e
-                _accumulate(out, key - e * step, coef)
-            return _raw(out, self.reduced_s)
+            # A scalar p/q maps each term to v*(p/q)^e at a lower key;
+            # scaling it by q^(top - e) keeps the one denominator
+            # den*q^top.  It can never raise an s-exponent, so an
+            # s-reduced result stays reduced and needs no rewrite.
+            p, q = _ratio(replacement)
+            weight = [p ** e * q ** (top - e) for e in range(top + 1)]
+            for key, v in self.num.items():
+                e = (key >> shift) & _MASK
+                k = key - e * step
+                out[k] = get(k, 0) + v * weight[e]
+            return _normal(out, self.den * q ** top, self.reduced_s)
         if not isinstance(replacement, MultiPoly):
             raise UsageError("replacement must be a polynomial or rational")
         self._check_compatible(replacement)
-        powers: dict[int, MultiPoly] = {0: MultiPoly.const(1, self.reduced_s)}
-
-        def rep_power(e: int) -> MultiPoly:
-            if e not in powers:
-                powers[e] = rep_power(e - 1) * replacement
-            return powers[e]
-
-        out = {}
-        for key, coef in self.terms.items():
-            e = _exp_of(key, idx)
+        powers = [MultiPoly.const(1, self.reduced_s)]
+        for _ in range(top):
+            powers.append(powers[-1] * replacement)
+        # the power e has a denominator dividing den^e, so den^top is
+        # common to all of them
+        common = replacement.den ** top
+        for key, v in self.num.items():
+            e = (key >> shift) & _MASK
             rest = key - e * step
-            for k2, c2 in rep_power(e).terms.items():
-                _accumulate(out, rest + k2, coef * c2)
-        if self.reduced_s:
-            out = _reduce_terms(out)
-        return _raw(out, self.reduced_s)
+            power = powers[e]
+            v *= common // power.den
+            for k2, v2 in power.num.items():
+                k = rest + k2
+                out[k] = get(k, 0) + v * v2
+        return _normal(out, self.den * common, self.reduced_s, True)
 
     def eval(self, assignment: Mapping[str, Scalar]) -> Fraction:
         """Evaluate at an exact rational point.
@@ -324,12 +376,10 @@ class MultiPoly:
         for name, val in assignment.items():
             if name not in _VIDX:
                 raise UsageError(f"unknown variable {name!r}")
-            values[_VIDX[name]] = _coerce(val)
-        total = Fraction(0)
-        for key, coef in self.terms.items():
-            term = coef
-            exps = _unpack(key)
-            for i, e in enumerate(exps):
+            values[_VIDX[name]] = Fraction(*_ratio(val))
+        total: Scalar = 0
+        for key, term in self.num.items():
+            for i, e in enumerate(_unpack(key)):
                 if not e:
                     continue
                 if i not in values:
@@ -337,7 +387,7 @@ class MultiPoly:
                         f"no value assigned to variable {VARS[i]!r}")
                 term *= values[i] ** e
             total += term
-        return total
+        return Fraction(total) / self.den
 
     # ------------------------------------------------------------------
     # the adjoined square root
@@ -346,13 +396,13 @@ class MultiPoly:
         """Image in the quotient ring with s^2 rewritten to 1 - x^2."""
         if self.reduced_s:
             return self
-        return MultiPoly(self.terms, reduced_s=True)
+        return _normal(self.num, self.den, True, True)
 
     def forget_s_reduction(self) -> "MultiPoly":
         """Same terms, viewed again as an unreduced polynomial."""
         if not self.reduced_s:
             return self
-        return _raw(dict(self.terms), False)
+        return _raw(self.num, self.den, False)
 
     def s_cofactor(self) -> "MultiPoly":
         """The exact quotient q with self = s*q.
@@ -362,27 +412,28 @@ class MultiPoly:
         polynomial is not an s-multiple and this is a usage error.
         """
         step = 1 << (_BITS * _S_IDX)
-        out: dict[int, Fraction] = {}
-        for key, coef in self.terms.items():
+        out: dict[int, int] = {}
+        for key, v in self.num.items():
             if _exp_of(key, _S_IDX) != 1:
                 raise UsageError("polynomial is not an exact s-multiple")
-            out[key - step] = coef
-        return _raw(out, self.reduced_s)
+            out[key - step] = v
+        return _raw(out, self.den, self.reduced_s)
 
     # ------------------------------------------------------------------
     # rendering and serialization
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.num:
             return "0"
-        names, rows = _canonical(self.terms)
+        names, rows = _canonical(self.num)
+        den = self.den
         parts: list[str] = []
-        for exps, coef in rows:
-            body = _term_string(names, exps, coef)
+        for exps, v in rows:
+            body = _term_string(names, exps, _fraction_text(abs(v), den))
             if not parts:
-                parts.append(body if coef > 0 else "-" + body)
+                parts.append(body if v > 0 else "-" + body)
             else:
-                parts.append((" + " if coef > 0 else " - ") + body)
+                parts.append((" + " if v > 0 else " - ") + body)
         return "".join(parts)
 
     def __repr__(self) -> str:
@@ -397,53 +448,74 @@ def _pack_one(name: str, e: int) -> int:
     return e << (_BITS * _VIDX[name])
 
 
-def _raw(terms: dict[int, Fraction], reduced_s: bool) -> MultiPoly:
-    """Internal fast constructor for terms already normalized."""
+def _raw(num: dict[int, int], den: int, reduced_s: bool) -> MultiPoly:
+    """Internal fast constructor for a representation already canonical."""
     p = MultiPoly.__new__(MultiPoly)
-    p.terms = terms
+    p.num = num
+    p.den = den
     p.reduced_s = reduced_s
     p._hash = None
     return p
 
 
-def _accumulate(out: dict[int, Fraction], key: int, coef: Fraction) -> None:
-    """Add a nonzero ``coef`` into ``out[key]``, dropping the key on zero.
+def _normal(num: dict[int, int], den: int, reduced_s: bool,
+            raised: bool = False) -> MultiPoly:
+    """The polynomial num/den in canonical form.
 
-    A new key stores ``coef`` itself; ``0 + coef`` would detour through
-    ``int.__add__`` and ``Fraction.__radd__`` on every fresh monomial.
+    ``num`` may hold zero numerators and share a factor with ``den``.
+    When ``raised`` (the operation can raise exponents), the OR of the
+    keys is tested once: its s bits say whether a reduced result needs
+    the rewrite, and its guard bits refuse an exponent above _MAX_EXP.
+    Then zeros are dropped and one gcd brings num/den to lowest terms.
+    ``num`` itself is never mutated.
     """
-    prev = out.get(key)
-    if prev is None:
-        out[key] = coef
-        return
-    tot = prev + coef
-    if tot:
-        out[key] = tot
-    else:
-        del out[key]
+    if raised and num:
+        used = reduce(or_, num)
+        if reduced_s and used & _S_HIGH:
+            num = _reduce_terms(num)
+            used |= reduce(or_, num, 0)
+        if used & _GUARD:
+            raise RangeError(
+                f"exponents above {_MAX_EXP} are not representable")
+    if 0 in num.values():
+        num = {k: v for k, v in num.items() if v}
+    if den != 1:
+        if not num:
+            den = 1
+        else:
+            g = math.gcd(den, *num.values())
+            if g != 1:
+                num = {k: v // g for k, v in num.items()}
+                den //= g
+    return _raw(num, den, reduced_s)
 
 
-def _reduce_terms(terms: dict[int, Fraction]) -> dict[int, Fraction]:
-    """Rewrite every s-exponent >= 2 using s^2 = 1 - x^2."""
-    out: dict[int, Fraction] = {}
+def _reduce_terms(num: dict[int, int]) -> dict[int, int]:
+    """Rewrite every s-exponent >= 2 using s^2 = 1 - x^2.
+
+    Works on the numerators alone: the binomial weights are ints, so the
+    denominator stays.  The result may hold zero numerators.
+    """
+    out: dict[int, int] = {}
+    get = out.get
     s_step = 1 << (_BITS * _S_IDX)
     x_step = 1 << (_BITS * _X_IDX)
-    for key, coef in terms.items():
+    for key, v in num.items():
         e_s = _exp_of(key, _S_IDX)
         if e_s < 2:
-            _accumulate(out, key, coef)
+            out[key] = get(key, 0) + v
             continue
         half, rem = divmod(e_s, 2)
         base = key - (e_s - rem) * s_step
         # (1 - x^2)**half expanded by the binomial theorem
         for i in range(half + 1):
-            _accumulate(out, base + 2 * i * x_step,
-                        coef * math.comb(half, i) * (-1) ** i)
+            k = base + 2 * i * x_step
+            out[k] = get(k, 0) + v * math.comb(half, i) * (-1) ** i
     return out
 
 
-def _canonical(terms: Mapping[int, Fraction]
-               ) -> tuple[tuple[str, ...], list[tuple[list[int], Fraction]]]:
+def _canonical(num: Mapping[int, int]
+               ) -> tuple[tuple[str, ...], list[tuple[list[int], int]]]:
     """The variables that occur, and the terms in canonical order.
 
     Exponents are non-negative bit fields, so a variable occurs exactly
@@ -453,31 +525,37 @@ def _canonical(terms: Mapping[int, Fraction]
     both descending; the absent variables, zero in every term, cannot
     change it.
     """
-    used = 0
-    for key in terms:
-        used |= key
+    used = reduce(or_, num, 0)
     shifts = [sh for sh in range(0, _BITS * len(VARS), _BITS)
               if (used >> sh) & _MASK]
-    rows = [([(key >> sh) & _MASK for sh in shifts], coef)
-            for key, coef in terms.items()]
+    rows = [([(key >> sh) & _MASK for sh in shifts], v)
+            for key, v in num.items()]
     rows.sort(key=_graded, reverse=True)
     return tuple(VARS[sh // _BITS] for sh in shifts), rows
 
 
-def _graded(row: tuple[list[int], Fraction]) -> tuple[int, list[int]]:
+def _graded(row: tuple[list[int], int]) -> tuple[int, list[int]]:
     return (sum(row[0]), row[0])
 
 
-def _term_string(names: tuple[str, ...], exps: list[int],
-                 coef: Fraction) -> str:
+def _fraction_text(v: int, den: int) -> str:
+    """``str(Fraction(v, den))``, with one gcd."""
+    if den == 1:
+        return str(v)
+    g = math.gcd(v, den)
+    if g == den:
+        return str(v // g)
+    return f"{v // g}/{den // g}"
+
+
+def _term_string(names: tuple[str, ...], exps: list[int], mag: str) -> str:
     mono = "*".join(
         name if e == 1 else f"{name}^{e}"
         for name, e in zip(names, exps) if e
     )
-    mag = abs(coef)
     if not mono:
-        return str(mag)
-    if mag == 1:
+        return mag
+    if mag == "1":
         return mono
     return f"{mag}*{mono}"
 
@@ -647,12 +725,14 @@ def json_chunks(value: object, pad: str = "") -> Iterator[str]:
 
 
 def _poly_json(p: MultiPoly, pad: str) -> str:
-    names, rows = _canonical(p.terms)
+    names, rows = _canonical(p.num)
+    den = p.den
     i1 = pad + "  "
     i2 = i1 + "  "
     i3 = i2 + "  "
     terms = [f'{{\n{i3}"exp": {_json_array(map(str, exps), i3)},\n'
-             f'{i3}"coef": "{coef}"\n{i2}}}' for exps, coef in rows]
+             f'{i3}"coef": "{_fraction_text(v, den)}"\n{i2}}}'
+             for exps, v in rows]
     names_json = _json_array(map(json.dumps, names), i1)
     text = (f'{{\n{i1}"vars": {names_json},\n'
             f'{i1}"terms": {_json_array(terms, i1)}')

@@ -105,7 +105,7 @@ class TruncSeries:
         """The convention-scaled coefficient: n!*c_n for egf, c_n for ogf."""
         self._check_index(n)
         if self.convention == "egf":
-            return self.coeffs[n] * Fraction(math.factorial(n))
+            return self.coeffs[n] * math.factorial(n)
         return self.coeffs[n]
 
     def _check_index(self, n: int) -> None:
@@ -249,7 +249,7 @@ def exp(f: TruncSeries) -> TruncSeries:
     for m in range(1, n + 1):
         acc = None
         for k in range(1, m + 1):
-            term = f.coeffs[k] * g[m - k] * Fraction(k)
+            term = f.coeffs[k] * g[m - k] * k
             acc = term if acc is None else acc + term
         g.append(acc * Fraction(1, m))
     return TruncSeries(g, n, f.convention)
@@ -271,7 +271,7 @@ def cos_sin(f: TruncSeries) -> tuple[TruncSeries, TruncSeries]:
         acc_c = None
         acc_s = None
         for k in range(1, m + 1):
-            weight = f.coeffs[k] * Fraction(k)
+            weight = f.coeffs[k] * k
             tc = weight * sin[m - k]
             ts = weight * cos[m - k]
             acc_c = tc if acc_c is None else acc_c + tc

@@ -1,13 +1,14 @@
 """Ring behavior of the sparse polynomial core."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polygen.errors import UsageError
+from polygen.errors import RangeError, UsageError
 from polygen.exact import (VARS, CPoly, MultiPoly, S, U, W, W_BAR, X, Y,
                            _unpack, binom, falling, json_chunks)
 
@@ -64,6 +65,24 @@ def test_bool_rejection():
     # like a float, a bool compares unequal instead of raising
     assert MultiPoly.const(1) != True  # noqa: E712
     assert CPoly.real(X) != False  # noqa: E712
+
+
+def test_exponent_guard():
+    # exponents go up to 32767; a larger one is refused, never carried
+    # into the next variable's field
+    top = MultiPoly.monomial({"x": 32767})
+    assert str(top) == "x^32767"
+    assert str(top * Y) == "x^32767*y"
+    for make in (lambda: MultiPoly.monomial({"x": 65536}),
+                 lambda: MultiPoly.monomial({"x": 32768}),
+                 lambda: MultiPoly.monomial({"x": 65535}) * X,
+                 lambda: top * X,
+                 lambda: X ** 32768,
+                 lambda: (X * Y).substitute("y", top),
+                 lambda: MultiPoly.monomial({"x": 32767, "s": 2},
+                                            reduced_s=True)):
+        with pytest.raises(RangeError):
+            make()
 
 
 def test_s_reduction():
@@ -377,3 +396,111 @@ def test_json_writer_matches_json_dumps(p, q, reduced):
                          {"value": {"re": _expected_json(p),
                                     "im": _expected_json(q)}}]}
     assert "".join(json_chunks(doc)) == json.dumps(expected, indent=2)
+
+
+# ----------------------------------------------------------------------
+# the integer-numerator representation, against plain Fraction dicts
+
+_S_SHIFT = 16 * VARS.index("s")
+_X_SHIFT = 16 * VARS.index("x")
+
+
+def _ref_add(*dicts):
+    out = {}
+    for d in dicts:
+        for k, v in d.items():
+            out[k] = out.get(k, 0) + v
+    return {k: v for k, v in out.items() if v}
+
+
+def _ref_scale(d, c):
+    return _ref_add({k: v * c for k, v in d.items()})
+
+
+def _ref_reduce(d):
+    # s^(2h+r) -> (1 - x^2)^h * s^r, term by term
+    out = []
+    for k, v in d.items():
+        e = (k >> _S_SHIFT) & 0xFFFF
+        half = e // 2
+        base = k - 2 * half * (1 << _S_SHIFT)
+        out.append({base + (2 * i << _X_SHIFT): v * binom(half, i) * (-1) ** i
+                    for i in range(half + 1)})
+    return _ref_add(*out)
+
+
+def _ref_mul(a, b, reduced):
+    out = _ref_add(*({k1 + k2: v1 * v2} for k1, v1 in a.items()
+                     for k2, v2 in b.items()))
+    return _ref_reduce(out) if reduced else out
+
+
+def _ref_pow(d, n, reduced):
+    out = {0: Fraction(1)}
+    for _ in range(n):
+        out = _ref_mul(out, d, reduced)
+    return out
+
+
+def _ref_substitute(d, var, rep, reduced):
+    # rep is a Fraction dict, or a scalar as the constant dict {0: c}
+    shift = 16 * VARS.index(var)
+    parts = []
+    for k, v in d.items():
+        e = (k >> shift) & 0xFFFF
+        rest = k - (e << shift)
+        parts.append({rest + k2: v * v2
+                      for k2, v2 in _ref_pow(rep, e, reduced).items()})
+    out = _ref_add(*parts)
+    return _ref_reduce(out) if reduced else out
+
+
+def _ref_partial(d, var):
+    shift = 16 * VARS.index(var)
+    return _ref_add({k - (1 << shift): v * ((k >> shift) & 0xFFFF)
+                     for k, v in d.items() if (k >> shift) & 0xFFFF})
+
+
+def _assert_canonical(p):
+    assert p.den > 0
+    assert all(type(v) is int and v for v in p.num.values())
+    assert math.gcd(p.den, *p.num.values()) == 1
+    if not p.num:
+        assert p.den == 1
+
+
+@given(polys(), polys(), _scalars, st.sampled_from(["x", "y", "u1"]),
+       st.integers(min_value=0, max_value=3), st.booleans())
+@example(S * Y * Fraction(2, 3) + X, S + Fraction(1, 2), Fraction(-3, 4), "y",
+         3, True)
+@settings(max_examples=80, deadline=None)
+def test_representation_is_canonical(p, q, c, var, n, reduced):
+    if reduced:
+        p, q = p.reduce_s(), q.reduce_s()
+        if var == "x":
+            var = "y"
+    pt, qt = p.terms, q.terms
+    cases = [
+        (p + q, _ref_add(pt, qt)),
+        (p - q, _ref_add(pt, _ref_scale(qt, -1))),
+        (p - p, {}),
+        (-p, _ref_scale(pt, -1)),
+        (p * q, _ref_mul(pt, qt, reduced)),
+        (p * c, _ref_scale(pt, c)),
+        (c * q, _ref_scale(qt, c)),
+        (p ** n, _ref_pow(pt, n, reduced)),
+        (p.partial(var), _ref_partial(pt, var)),
+        (p.substitute(var, c), _ref_substitute(pt, var, {0: c}, reduced)),
+        (p.substitute(var, q), _ref_substitute(pt, var, qt, reduced)),
+        (p.forget_s_reduction(), pt),
+        (p.forget_s_reduction().reduce_s(), _ref_reduce(pt)),
+        (p.reduce_s(), _ref_reduce(pt)),
+    ]
+    # an exact s-multiple: the s-free part of p times s
+    free = p.substitute("s", 0)
+    s_mult = free * MultiPoly.variable("s", reduced)
+    cases.append((s_mult, _ref_mul(free.terms, {1 << _S_SHIFT: 1}, reduced)))
+    cases.append((s_mult.s_cofactor(), free.terms))
+    for got, expected in cases:
+        _assert_canonical(got)
+        assert got.terms == expected
