@@ -10,7 +10,8 @@ Four subcommands over the library:
 Output goes to stdout in ``text`` (default), ``json``, or ``csv``
 format and is deterministic byte for byte; diagnostics go to stderr.
 Rationals on the command line are integers or "p/q" strings — decimal
-notation is rejected so no value ever passes through a float.
+and exponent notation are rejected so no value ever passes through a
+float — with at most ``series.DIGIT_LIMIT`` digits above and below.
 
 Exit codes: 0 success (check: all passed), 1 check failure, 2 usage
 error, 3 mathematical singularity.
@@ -36,9 +37,13 @@ from .exact import MultiPoly, json_chunks
 
 
 def _parse_rational(text: str) -> Fraction:
-    if "." in text:
+    if "." in text or "e" in text.lower():
         raise UsageError(
             f"rational {text!r} uses decimal notation; write it as p/q")
+    limit = series_mod.DIGIT_LIMIT
+    if any(sum(map(str.isdigit, part)) > limit for part in text.split("/")):
+        raise RangeError(f"rational {text!r} has a numerator or denominator "
+                         f"of more than {limit} digits")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -383,6 +388,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
+    # the size caps bound every answer, not CPython's int -> str limit
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     sys.exit(main(sys.argv[1:]))
 
 

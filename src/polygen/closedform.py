@@ -27,7 +27,7 @@ from functools import lru_cache
 
 from .errors import (EULER_POLE, ZERO_CONSTANT_TERM, RangeError,
                      SingularityError, UsageError)
-from .exact import CPoly, MultiPoly, Rational, U, X, binom, check_r
+from .exact import CPoly, MultiPoly, Rational, U, X, binom, check_r, dot
 
 _ONE = MultiPoly.const(1)
 _ZERO = MultiPoly.zero()
@@ -53,24 +53,17 @@ def _cs_parity(kind: str) -> int:
 def y_parity_sum(n: int, parity: int, g) -> MultiPoly:
     """sum_j (-1)^j binom(n, 2j+p) y^(2j+p) g(n-2j-p) over the even
     (p = 0, cosine side) or odd (p = 1, sine side) powers of y."""
-    acc = MultiPoly.zero()
-    for j in range((n - parity) // 2 + 1):
-        k = 2 * j + parity
-        coef = Fraction((-1) ** j * binom(n, k))
-        acc = acc + MultiPoly.monomial({"y": k}, coef) * g(n - k)
-    return acc
+    return dot((MultiPoly.monomial({"y": k}), g(n - k),
+                (-1) ** (k // 2) * binom(n, k))
+               for k in range(parity, n + 1, 2))
 
 
 def binomial_convolution(n: int, f, g, lo: int = 0,
                          zero: MultiPoly | CPoly = _ZERO):
     """sum_{j=lo..n} binom(n, j) f(j) g(n-j), with ``zero`` as the empty
     sum; a term whose weight g(n-j)*binom(n,j) vanishes is skipped."""
-    acc = zero
-    for j in range(lo, n + 1):
-        weight = g(n - j) * binom(n, j)
-        if weight:
-            acc = acc + f(j) * weight
-    return acc
+    return dot([(f(j), weight, binom(n, j)) for j in range(lo, n + 1)
+                if (weight := g(n - j))], zero)
 
 
 # ----------------------------------------------------------------------
@@ -95,16 +88,13 @@ def chebyshev(kind: str, n: int) -> MultiPoly:
     parity = ("T", "U").index(kind)
     if n < parity:
         raise RangeError("chebyshev('U', n) returns U_{n-1}; needs n >= 1")
-    # sum_k binom(n, 2k+p) x^(n-2k-p) (x^2-1)^k, one power at a time
-    acc = MultiPoly.zero()
+    # sum_k binom(n, 2k+p) x^(n-2k-p) (x^2-1)^k, each power from the last
     shifted = X * X - 1
-    power = _ONE
-    for k in range((n - parity) // 2 + 1):
-        if k:
-            power = power * shifted
-        acc = acc + power * MultiPoly.monomial({"x": n - 2 * k - parity},
-                                               binom(n, 2 * k + parity))
-    return acc
+    powers = [_ONE]
+    for k in range(1, (n - parity) // 2 + 1):
+        powers.append(powers[-1] * shifted)
+    return dot((power, MultiPoly.monomial({"x": n - 2 * k - parity}),
+                binom(n, 2 * k + parity)) for k, power in enumerate(powers))
 
 
 @lru_cache(maxsize=None)
@@ -136,12 +126,10 @@ def gould_hopper(n: int, j: int) -> MultiPoly:
     _check_n(n)
     if not isinstance(j, int) or j < 2:
         raise RangeError(f"exponent j must be an integer >= 2, got {j!r}")
-    acc = MultiPoly.zero()
-    for s in range(n // j + 1):
-        coef = Fraction(math.factorial(n),
-                        math.factorial(n - j * s) * math.factorial(s))
-        acc = acc + MultiPoly.monomial({"x": n - j * s, "y": s}, coef)
-    return acc
+    return dot((MultiPoly.monomial({"x": n - j * s, "y": s}), 1,
+                Fraction(math.factorial(n),
+                         math.factorial(n - j * s) * math.factorial(s)))
+               for s in range(n // j + 1))
 
 
 @lru_cache(maxsize=None)
@@ -156,13 +144,11 @@ def hermite_gen(n: int, r: int) -> MultiPoly:
     check_r(r)
     if r == 1:
         return MultiPoly.monomial({"u1": n})
-    acc = MultiPoly.zero()
-    for j in range(n // r + 1):
-        coef = Fraction(math.factorial(n),
-                        math.factorial(j) * math.factorial(n - r * j))
-        acc = acc + (MultiPoly.monomial({f"u{r}": j}, coef)
-                     * hermite_gen(n - r * j, r - 1))
-    return acc
+    return dot((MultiPoly.monomial({f"u{r}": j}),
+                hermite_gen(n - r * j, r - 1),
+                Fraction(math.factorial(n),
+                         math.factorial(j) * math.factorial(n - r * j)))
+               for j in range(n // r + 1))
 
 
 @lru_cache(maxsize=None)
@@ -192,18 +178,10 @@ def kpoly(part: str, n: int, r: int) -> MultiPoly | CPoly:
 def npoly(n: int, conjugate: bool = False) -> CPoly:
     """(x + i*y)**n (or its conjugate) by direct binomial expansion."""
     _check_n(n)
-    re = MultiPoly.zero()
-    im = MultiPoly.zero()
-    for k in range(n + 1):
-        mono = MultiPoly.monomial({"x": n - k, "y": k}, binom(n, k))
-        sign = -1 if k % 4 in (2, 3) else 1
-        if k % 2 == 0:
-            re = re + mono * sign
-        else:
-            im = im + mono * sign
-    if conjugate:
-        im = -im
-    return CPoly(re, im)
+    # i^k is real for even k and imaginary for odd k; (-i)^k = (-1)^k i^k
+    return CPoly(*(dot((MultiPoly.monomial({"x": n - k, "y": k}), 1,
+                        (-1) ** (k // 2 + p * conjugate) * binom(n, k))
+                       for k in range(p, n + 1, 2)) for p in (0, 1)))
 
 
 @lru_cache(maxsize=None)
@@ -302,11 +280,8 @@ def kernel_power_numbers(z: int, fkind: str, a: Rational, b: Rational,
 def _appell(nums: tuple[Fraction, ...], n: int) -> MultiPoly:
     """sum_j binom(n, j) nums_j x^(n-j), the degree-n x-polynomial of a
     number sequence."""
-    acc = MultiPoly.zero()
-    for j in range(n + 1):
-        if nums[j]:
-            acc = acc + MultiPoly.monomial({"x": n - j}, binom(n, j) * nums[j])
-    return acc
+    return dot((MultiPoly.monomial({"x": n - j}), nums[j], binom(n, j))
+               for j in range(n + 1) if nums[j])
 
 
 def apostol(kind: str, n: int, k: int, lam: Rational) -> MultiPoly:
@@ -350,8 +325,11 @@ def _kernel_poly(m: int, z: int, fkind: str, a: Rational,
     return _appell(kernel_power_numbers(z, fkind, a, b, m), m)
 
 
-_H_VARIANTS = {"h": lambda k: k, "h1": lambda k: k + k.conj(),
-               "h2": lambda k: k - k.conj()}
+# value + conjugate is twice the real part and value - conjugate twice
+# i times the imaginary part, so each term is a cached kernel part
+_H_VARIANTS = {"h": lambda j, r: kpoly("K", j, r),
+               "h1": lambda j, r: kpoly("k1", j, r),
+               "h2": lambda j, r: CPoly(_ZERO, kpoly("k2", j, r))}
 
 
 @lru_cache(maxsize=None)
@@ -368,9 +346,10 @@ def hpoly(kind: str, n: int, z: int, r: int, fkind: str,
         raise UsageError(
             f"unknown kind {kind!r}; expected 'h', 'h1' or 'h2'")
     nums = kernel_power_numbers(z, fkind, a, b, n)
+    scale = 1 if kind == "h" else 2
     return binomial_convolution(
-        n, lambda j: _H_VARIANTS[kind](kpoly("K", j, r)),
-        lambda m: nums[m], zero=CPoly.zero())
+        n, lambda j: _H_VARIANTS[kind](j, r), lambda m: nums[m] * scale,
+        zero=CPoly.zero())
 
 
 @lru_cache(maxsize=None)

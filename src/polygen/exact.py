@@ -11,7 +11,9 @@ exponent vectors to nonzero ``int`` numerators, and one ``int``
 denominator ``den > 0``, always in lowest terms
 (``gcd(den, *numerators) == 1``; zero is ``({}, 1)``).  Every operation
 works on ints and ends with one ``math.gcd`` normalisation, so equal
-polynomials have equal representations.  Adding two packed keys
+polynomials have equal representations.  A whole sum of products is one
+operation, :func:`dot`: every product goes into one int dict over the
+lcm of all denominators, normalised once at the end.  Adding two packed keys
 multiplies the underlying monomials.  ``MultiPoly.terms`` gives the
 coefficients as ``Fraction`` values, for reading only.
 
@@ -93,6 +95,10 @@ _X_IDX = _VIDX["x"]
 _S_HIGH = (_MASK ^ 1) << (_BITS * _S_IDX)
 
 
+_MIXED = ("cannot mix s-reduced and unreduced polynomials; "
+          "call reduce_s() on one side first")
+
+
 def _const_num(num: dict[int, int]) -> int | None:
     """The numerator of a constant polynomial, or None if non-constant."""
     if not num:
@@ -170,9 +176,7 @@ class MultiPoly:
 
     def _check_compatible(self, other: "MultiPoly") -> None:
         if self.reduced_s != other.reduced_s:
-            raise UsageError(
-                "cannot mix s-reduced and unreduced polynomials; "
-                "call reduce_s() on one side first")
+            raise UsageError(_MIXED)
 
     def __add__(self, other: object) -> "MultiPoly":
         if not isinstance(other, MultiPoly):
@@ -221,19 +225,7 @@ class MultiPoly:
                 return NotImplemented
             return self._scaled(*_ratio(other))
         self._check_compatible(other)
-        a, b = self.num, other.num
-        # a constant factor on either side only scales the other one
-        if (c := _const_num(b)) is not None:
-            return self._scaled(c, other.den)
-        if (c := _const_num(a)) is not None:
-            return other._scaled(c, self.den)
-        out: dict[int, int] = {}
-        get = out.get
-        for k1, v1 in a.items():
-            for k2, v2 in b.items():
-                k = k1 + k2
-                out[k] = get(k, 0) + v1 * v2
-        return _normal(out, self.den * other.den, self.reduced_s, True)
+        return _fold([(self, other, 1, self.den * other.den)], self.reduced_s)
 
     def _scaled(self, p: int, q: int) -> "MultiPoly":
         """self * p/q for ints p and q > 0."""
@@ -353,18 +345,15 @@ class MultiPoly:
         powers = [MultiPoly.const(1, self.reduced_s)]
         for _ in range(top):
             powers.append(powers[-1] * replacement)
-        # the power e has a denominator dividing den^e, so den^top is
-        # common to all of them
-        common = replacement.den ** top
+        # self is sum_e c_e var^e with every c_e free of var
+        coefs: list[dict[int, int]] = [{} for _ in powers]
         for key, v in self.num.items():
             e = (key >> shift) & _MASK
-            rest = key - e * step
-            power = powers[e]
-            v *= common // power.den
-            for k2, v2 in power.num.items():
-                k = rest + k2
-                out[k] = get(k, 0) + v * v2
-        return _normal(out, self.den * common, self.reduced_s, True)
+            coefs[e][key - e * step] = v
+        return _fold([(_raw(c, 1, self.reduced_s), power, 1,
+                       self.den * power.den)
+                      for c, power in zip(coefs, powers) if c and power],
+                     self.reduced_s)
 
     def eval(self, assignment: Mapping[str, Scalar]) -> Fraction:
         """Evaluate at an exact rational point.
@@ -687,6 +676,80 @@ class CPoly:
 
 
 # ----------------------------------------------------------------------
+# Sums of products
+
+
+def dot(triples: Iterable[tuple], zero: object = None) -> MultiPoly | CPoly:
+    """sum c*a*b over (a, b, c): a a MultiPoly or CPoly, b one too or an
+    exact scalar, c an exact scalar.  A CPoly factor splits into real
+    products, and every product goes straight into one int dict over
+    the lcm of all denominators, normalised once.  The result is a CPoly
+    when a factor or ``zero`` is; the empty sum is ``zero`` or 0.  As
+    for ``+`` and ``*``, all polynomials and ``zero`` share one flag."""
+    flags = set() if zero is None else {zero.reduced_s}
+    cplx = isinstance(zero, CPoly)
+    re: list = []
+    im: list = []
+    for a, b, c in triples:
+        p, q = _ratio(c)
+        flags.add(a.reduced_s)
+        if isinstance(b, (MultiPoly, CPoly)):
+            flags.add(b.reduced_s)
+        else:
+            bp, bq = _ratio(b)
+            p, q, b = p * bp, q * bq, ONE
+        if type(a) is MultiPoly is type(b):
+            parts: tuple = ((re, a, b, p),)
+        else:
+            cplx = True
+            a_re, a_im = (a.re, a.im) if type(a) is CPoly else (a, _ZERO)
+            b_re, b_im = (b.re, b.im) if type(b) is CPoly else (b, _ZERO)
+            parts = ((re, a_re, b_re, p), (re, a_im, b_im, -p),
+                     (im, a_im, b_re, p), (im, a_re, b_im, p))
+        for out, x, y, w in parts:
+            if w and x.num and y.num:
+                out.append((x, y, w, q * x.den * y.den))
+    if len(flags) > 1:
+        raise UsageError(_MIXED)
+    real = _fold(re, bool(flags) and flags.pop())
+    return CPoly(real, _fold(im, real.reduced_s)) if cplx else real
+
+
+def _fold(parts: list[tuple], reduced_s: bool) -> MultiPoly:
+    """sum p/q*x*y over (x, y, p, q), q the product of p's denominator
+    and those of x and y.  A constant factor only scales the other one,
+    whose key objects the sum keeps, and its numerators too when that
+    term comes first with weight 1."""
+    den = math.lcm(*(q for *_, q in parts))
+    out: dict[int, int] = {}
+    get = out.get
+    raised = False
+    for x, y, p, q in parts:
+        w = p * (den // q)
+        if (c := _const_num(y.num)) is not None:
+            w *= c
+        elif (c := _const_num(x.num)) is not None:
+            w, x = w * c, y
+        else:
+            raised = True
+            if len(x.num) > len(y.num):
+                x, y = y, x
+            for k1, v1 in x.num.items():
+                w1 = w * v1
+                for k2, v2 in y.num.items():
+                    k = k1 + k2
+                    out[k] = get(k, 0) + w1 * v2
+            continue
+        if not out and w == 1:
+            out = dict(x.num)
+            get = out.get
+        else:
+            for k, v in x.num.items():
+                out[k] = get(k, 0) + w * v
+    return _normal(out, den, reduced_s, raised)
+
+
+# ----------------------------------------------------------------------
 # JSON output
 
 
@@ -751,6 +814,7 @@ def _json_array(texts: Iterable[str], pad: str) -> str:
 # ----------------------------------------------------------------------
 # Ready-made symbols
 
+_ZERO = MultiPoly.zero()
 X = MultiPoly.variable("x")
 Y = MultiPoly.variable("y")
 S = MultiPoly.variable("s")

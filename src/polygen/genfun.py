@@ -4,9 +4,10 @@ A family is one descriptor below plus one ``_family`` row in
 :mod:`polygen.cli`.  A descriptor is a frozen dataclass: its fields
 are the family's parameters in positional order and its CLI flags,
 their defaults the flag defaults, and its ``_series(order)`` method
-builds its series.  Classes that differ only in a cosine/sine side, a
-kernel or a conjugate sign name it in a class attribute and share one
-method.  :func:`build` turns a descriptor into a
+builds its series.  A class names its cosine/sine side, kernel or
+conjugate sign in a class attribute; a family that differs only there
+subclasses it, keeping its fields and method, and overrides that.
+:func:`build` turns a descriptor into a
 :class:`~polygen.series.TruncSeries` whose coefficients are exact
 polynomials.  Chebyshev and Dickson families are ordinary generating
 functions; every other family is exponential.
@@ -59,13 +60,9 @@ class ApostolBernoulli:
         return series.pow_int(kern, self.k) * _exp_xt(order)
 
 
-@dataclass(frozen=True)
-class ApostolEuler:
+class ApostolEuler(ApostolBernoulli):
     """(2/(lam*e^t + 1))**k * e^(x*t); EGF."""
-    k: int = 1
-    lam: Rational = Fraction(1)
     kernel = "euler"
-    _series = ApostolBernoulli._series
 
 
 @dataclass(frozen=True)
@@ -77,11 +74,9 @@ class CosC:
         return _exp_xt(order) * _cos_sin_yt(order)[self.side]
 
 
-@dataclass(frozen=True)
-class SinS:
+class SinS(CosC):
     """e^(x*t) * sin(y*t); EGF."""
     side = 1
-    _series = CosC._series
 
 
 @dataclass(frozen=True)
@@ -167,12 +162,9 @@ class K1Kernel:
         return _exp_u(self.r, order, X) * _cos_sin_yt(order)[self.side]
 
 
-@dataclass(frozen=True)
-class K2Kernel:
+class K2Kernel(K1Kernel):
     """e^((x+u1)*t + sum_{j>=2} u_j t^j) * sin(y*t); EGF."""
-    r: int = 2
     side = 1
-    _series = K1Kernel._series
 
 
 @dataclass(frozen=True)
@@ -192,28 +184,14 @@ class M1:
         return build(R1(self.z, self.fkind, self.a, self.b), order) * g
 
 
-@dataclass(frozen=True)
-class M2:
+class M2(M1):
     """(b + f(t,a))**z * (G(w) + G(conj w)) with G the complex kernel."""
-    z: int = 1
-    fkind: str = "bernoulli"
-    a: Rational = Fraction(1)
-    b: Rational = Fraction(1)
-    r: int = 2
     conj = 1
-    _series = M1._series
 
 
-@dataclass(frozen=True)
-class M3:
+class M3(M1):
     """(b + f(t,a))**z * (G(w) - G(conj w)) with G the complex kernel."""
-    z: int = 1
-    fkind: str = "bernoulli"
-    a: Rational = Fraction(1)
-    b: Rational = Fraction(1)
-    r: int = 2
     conj = -1
-    _series = M1._series
 
 
 @dataclass(frozen=True)
@@ -226,12 +204,9 @@ class M4:
         return _exp_u(self.r, order) * _cos_sin_yt(order)[self.side]
 
 
-@dataclass(frozen=True)
-class M5:
+class M5(M4):
     """e^(sum u_j t^j) * sin(y*t); EGF."""
-    r: int = 2
     side = 1
-    _series = M4._series
 
 
 @dataclass(frozen=True)
@@ -250,16 +225,9 @@ class Bform:
         return factor * kernel * 2
 
 
-@dataclass(frozen=True)
-class B1form:
+class B1form(Bform):
     """2 * (b + f(t,a))**z * e^(x*t) * e^(sum u_j t^j) * sin(y*t); EGF."""
-    z: int = 1
-    fkind: str = "bernoulli"
-    a: Rational = Fraction(1)
-    b: Rational = Fraction(1)
-    r: int = 2
     side = 1
-    _series = Bform._series
 
 
 @dataclass(frozen=True)
@@ -275,31 +243,19 @@ class BC:
         return series.pow_int(kern, self.z) * build(trig, order)
 
 
-@dataclass(frozen=True)
-class BS:
+class BS(BC):
     """(t/(a*e^t - 1))**z * e^(x*t) * sin(y*t); EGF."""
-    z: int = 1
-    a: Rational = Fraction(1)
-    kernel, side = "bernoulli", 1
-    _series = BC._series
+    side = 1
 
 
-@dataclass(frozen=True)
-class EC:
+class EC(BC):
     """(2/(a*e^t + 1))**z * e^(x*t) * cos(y*t); EGF."""
-    z: int = 1
-    a: Rational = Fraction(1)
-    kernel, side = "euler", 0
-    _series = BC._series
+    kernel = "euler"
 
 
-@dataclass(frozen=True)
-class ES:
+class ES(BC):
     """(2/(a*e^t + 1))**z * e^(x*t) * sin(y*t); EGF."""
-    z: int = 1
-    a: Rational = Fraction(1)
     kernel, side = "euler", 1
-    _series = BC._series
 
 
 @dataclass(frozen=True)

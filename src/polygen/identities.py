@@ -34,7 +34,7 @@ from . import genfun as gf
 from . import series
 from .errors import UsageError
 from .exact import (CPoly, MultiPoly, Rational, W, W_BAR, X, Y, binom,
-                    falling)
+                    dot, falling)
 
 # Hard engine limits for check bounds; exact arithmetic stays fast
 # only inside this envelope, and every stated guarantee lives within it.
@@ -698,13 +698,10 @@ def _gould_hopper_discrepancy(bounds: Bounds) -> CheckReport:
     corrected closed form agrees.  Passes when both facts hold."""
     check_id = "gould_hopper_discrepancy"
     for n, j in ((2, 2), (3, 3)):
-        variant = MultiPoly.zero()
-        for s in range(n // 2 + 1):
-            if n - j * s < 0:
-                continue
-            coef = Fraction(1, math.factorial(n - j * s) * math.factorial(s))
-            variant = variant + MultiPoly.monomial({"x": n - j * s, "y": s},
-                                                   coef)
+        variant = dot((MultiPoly.monomial({"x": n - j * s, "y": s}), 1,
+                       Fraction(1, math.factorial(n - j * s)
+                                * math.factorial(s)))
+                      for s in range(n // 2 + 1) if n - j * s >= 0)
         oracle = gf.build(gf.GouldHopper(j), n).coefficient(n)
         corrected = cf.gould_hopper(n, j)
         if not corrected == oracle:

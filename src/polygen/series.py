@@ -31,7 +31,7 @@ from typing import Callable, Mapping, Sequence, Union
 
 from .errors import (ZERO_CONSTANT_TERM, DomainError, RangeError,
                      SingularityError, UsageError)
-from .exact import CPoly, MultiPoly, json_chunks
+from .exact import CPoly, MultiPoly, dot, json_chunks
 
 Coef = Union[MultiPoly, CPoly]
 
@@ -41,6 +41,11 @@ CONVENTIONS = ("egf", "ogf")
 #: largest table index (``table``/``expand --n``) the program accepts
 #: from outside; past it exact arithmetic runs for minutes or more.
 ORDER_LIMIT = 100
+
+#: Most digits the numerator and the denominator of a rational flag
+#: (``--a``, ``--b``, ``--alpha``, ``--lambda``) may each have; at the
+#: caps, ``table --family r1 --z -100 --n 100..100`` runs about 10 s.
+DIGIT_LIMIT = 20
 
 
 def default_order() -> int:
@@ -162,15 +167,10 @@ class TruncSeries:
         if not isinstance(other, TruncSeries):
             return NotImplemented
         self._check_compatible(other)
-        n = self.order
-        out: list[object] = []
-        for k in range(n + 1):
-            acc = None
-            for i in range(k + 1):
-                term = self.coeffs[i] * other.coeffs[k - i]
-                acc = term if acc is None else acc + term
-            out.append(acc)
-        return TruncSeries(out, n, self.convention)
+        a, b = self.coeffs, other.coeffs
+        return TruncSeries(
+            [dot((a[i], b[k - i], 1) for i in range(k + 1))
+             for k in range(self.order + 1)], self.order, self.convention)
 
     def __rmul__(self, other: object) -> "TruncSeries":
         if isinstance(other, (int, Fraction, MultiPoly, CPoly)):
@@ -247,11 +247,8 @@ def exp(f: TruncSeries) -> TruncSeries:
     n = f.order
     g: list[Coef] = [MultiPoly.const(1)]
     for m in range(1, n + 1):
-        acc = None
-        for k in range(1, m + 1):
-            term = f.coeffs[k] * g[m - k] * k
-            acc = term if acc is None else acc + term
-        g.append(acc * Fraction(1, m))
+        g.append(dot((f.coeffs[k], g[m - k], Fraction(k, m))
+                     for k in range(1, m + 1)))
     return TruncSeries(g, n, f.convention)
 
 
@@ -268,16 +265,10 @@ def cos_sin(f: TruncSeries) -> tuple[TruncSeries, TruncSeries]:
     cos: list[Coef] = [MultiPoly.const(1)]
     sin: list[Coef] = [MultiPoly.zero()]
     for m in range(1, n + 1):
-        acc_c = None
-        acc_s = None
-        for k in range(1, m + 1):
-            weight = f.coeffs[k] * k
-            tc = weight * sin[m - k]
-            ts = weight * cos[m - k]
-            acc_c = tc if acc_c is None else acc_c + tc
-            acc_s = ts if acc_s is None else acc_s + ts
-        cos.append(acc_c * Fraction(-1, m))
-        sin.append(acc_s * Fraction(1, m))
+        cos.append(dot((f.coeffs[k], sin[m - k], Fraction(-k, m))
+                       for k in range(1, m + 1)))
+        sin.append(dot((f.coeffs[k], cos[m - k], Fraction(k, m))
+                       for k in range(1, m + 1)))
     return (TruncSeries(cos, n, f.convention),
             TruncSeries(sin, n, f.convention))
 
@@ -298,11 +289,7 @@ def invert(f: TruncSeries) -> TruncSeries:
     inv0 = Fraction(1, 1) / value
     g: list[Coef] = [MultiPoly.const(inv0)]
     for m in range(1, n + 1):
-        acc = None
-        for k in range(1, m + 1):
-            term = f.coeffs[k] * g[m - k]
-            acc = term if acc is None else acc + term
-        g.append(acc * -inv0)
+        g.append(dot((f.coeffs[k], g[m - k], -inv0) for k in range(1, m + 1)))
     return TruncSeries(g, n, f.convention)
 
 

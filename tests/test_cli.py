@@ -1,6 +1,9 @@
 """End-to-end command tests driven through cli.main()."""
 
+import hashlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -383,3 +386,77 @@ def test_family_params_are_golden(capsys):
         params[name] = json.loads(out)["params"]
     assert (json.dumps(params, indent=2) + "\n").encode() == \
         golden.read_bytes()
+
+
+# the series_table benchmark requests of seed 101: the largest outputs
+# the program makes (the m2 series is 15 MB of JSON)
+_HEAVY_REQUESTS = (
+    "series --family m2 --z 2 --fkind euler --a 3 --b 1/2 --r 3 "
+    "--order 24 --format json",
+    "series --family bform --z -2 --fkind bernoulli --a 1 --b 1 --r 2 "
+    "--order 24 --format json",
+    "series --family g-kernel --r 4 --order 20 --format json",
+    "series --family chebyshev-t --order 80 --format json",
+    "series --family dickson-e --alpha 2 --order 60 --format json",
+    "series --family apostol-bernoulli --k 3 --lambda 3 --order 40 "
+    "--format json",
+    "series --family gould-hopper --j 3 --order 60 --format json",
+    "series --family ec --z 3 --a 3 --order 40 --format json",
+    "table --family chebyshev-t --n 0..80",
+    "table --family dickson-d --alpha -2 --n 0..80",
+    "table --family apostol-euler --k 3 --lambda 2 --n 0..60",
+    "table --family bc --z 2 --a 2 --n 0..40",
+    "table --family hermite-gen --r 4 --n 0..40",
+    "table --family p3 --r 3 --n 0..30",
+    "table --family bform --z 2 --fkind bernoulli --a 2 --b 3/2 --r 2 "
+    "--n 0..16",
+    "table --family m2 --z 2 --fkind euler --a 2 --b 3/2 --r 2 --n 0..16",
+)
+
+
+def test_heavy_outputs_are_pinned(capsys):
+    # one "sha256 request" line per request, in the order above
+    golden = Path(__file__).parent / "data" / "series_table_digests.txt"
+    pinned = [line.split(" ", 1)
+              for line in golden.read_text().splitlines()]
+    assert [request for _, request in pinned] == list(_HEAVY_REQUESTS)
+    for digest, request in pinned:
+        code, out, err = run(capsys, *request.split())
+        assert code == 0 and err == "", request
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, request
+
+
+def _cold(*argv):
+    """One ``python -m polygen`` child on the polygen these tests import."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "polygen", *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
+def test_answers_past_the_int_str_limit_print():
+    # 20-digit parameters, at the cap: numerator and denominator have
+    # 4386 and 4403 digits, past CPython's default limit of 4300
+    value = "12345678901234567891/98765432109876543211"
+    proc = _cold("table", "--family", "r1", "--z", "-100", "--fkind",
+                 "euler", "--a", value, "--b", value, "--n", "10")
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    n, answer = proc.stdout.split()
+    assert n == "10" and min(map(len, answer.split("/"))) > 4300
+
+
+def test_rational_digit_cap_refuses_at_once():
+    limit = series.DIGIT_LIMIT
+    for flag, family in (("--a", "r1"), ("--b", "r1"),
+                         ("--alpha", "dickson-d"),
+                         ("--lambda", "apostol-bernoulli")):
+        for value in ("7" * (limit + 1), "1/" + "3" * (limit + 1)):
+            proc = _cold("table", "--family", family, flag, value,
+                         "--n", "100")
+            assert proc.returncode == 2 and proc.stdout == "", (flag, value)
+            assert f"more than {limit} digits" in proc.stderr
+    # an exponent would carry any number of digits past the cap
+    proc = _cold("table", "--family", "r1", "--a", "1e99", "--n", "0")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "decimal notation" in proc.stderr

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from polygen.errors import RangeError, UsageError
 from polygen.exact import (VARS, CPoly, MultiPoly, S, U, W, W_BAR, X, Y,
-                           _unpack, binom, falling, json_chunks)
+                           _unpack, binom, dot, falling, json_chunks)
 
 
 def test_canonical_strings():
@@ -504,3 +504,86 @@ def test_representation_is_canonical(p, q, c, var, n, reduced):
     for got, expected in cases:
         _assert_canonical(got)
         assert got.terms == expected
+
+
+# ----------------------------------------------------------------------
+# dot: a whole sum of products at once, against the operator fold
+
+_consts = _coefs.map(MultiPoly.const)
+_cpolys = st.builds(CPoly, st.one_of(polys(), _consts),
+                    st.one_of(polys(), _consts))
+_factors = st.one_of(polys(), _consts, _cpolys)
+_weights = st.one_of(_scalars, st.integers(min_value=-3, max_value=3))
+
+
+def _fold_by_operators(triples, zero):
+    acc = zero
+    for a, b, c in triples:
+        term = (a * b) * c
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def _assert_dot_canonical(value):
+    for part in ((value.re, value.im) if isinstance(value, CPoly)
+                 else (value,)):
+        _assert_canonical(part)
+
+
+@given(st.lists(st.tuples(_factors, st.one_of(_factors, _weights),
+                          _weights), max_size=5),
+       st.sampled_from(["none", "real", "complex"]), st.booleans())
+@example([(X + Y, 0, 1), (MultiPoly.const(0), W, 2), (S * S, W, 0)],
+         "none", True)
+@example([(X + Y, 1, 1), (X, MultiPoly.const(1), 1), (Y, X, 1)], "real",
+         False)
+@settings(max_examples=150, deadline=None)
+def test_dot_matches_operator_fold(triples, zero_kind, reduced):
+    def flag(v):
+        return v.reduce_s() if reduced and hasattr(v, "reduce_s") else v
+
+    triples = [(flag(a), flag(b), c) for a, b, c in triples]
+    zero = {"none": None, "real": MultiPoly.zero(reduced),
+            "complex": CPoly.zero(reduced)}[zero_kind]
+    got = dot(triples, zero)
+    expected = _fold_by_operators(triples, zero)
+    if expected is None:  # no flag to take: the unreduced zero
+        expected, reduced = MultiPoly.zero(), False
+    _assert_dot_canonical(got)
+    assert got == expected
+    assert got.reduced_s == reduced
+    complex_factor = any(isinstance(v, CPoly) for t in triples for v in t)
+    assert isinstance(got, CPoly) == (complex_factor
+                                      or isinstance(zero, CPoly))
+
+
+def test_dot_empty_sum_is_zero():
+    assert dot([]) == 0 and type(dot([])) is MultiPoly
+    assert type(dot([], CPoly.zero())) is CPoly
+    assert dot((), MultiPoly.zero(True)).reduced_s
+
+
+def test_dot_refuses_mixed_flags_like_the_operators():
+    zero_r = MultiPoly.zero(True)
+    for triples, zero in (([(X, S.reduce_s(), 1)], None),
+                          ([(MultiPoly.zero(), zero_r, 1)], None),
+                          ([(X, 2, 0), (zero_r, 1, 1)], None),
+                          ([(X, 1, 1)], zero_r),
+                          ([(W, zero_r, 1)], None),
+                          ([(CPoly.zero(True), X, 1)], CPoly.zero())):
+        with pytest.raises(UsageError):
+            dot(triples, zero)
+        with pytest.raises(UsageError):
+            _fold_by_operators(triples, zero)
+
+
+def test_dot_exponent_guard():
+    top = MultiPoly.monomial({"x": 32767})
+    # refused even when the offending products cancel
+    for triples in ([(top, X, 1)], [(top, X, 1), (X, top, -1)],
+                    [(CPoly(Y, top), W, 1)]):
+        with pytest.raises(RangeError):
+            dot(triples)
+        with pytest.raises(RangeError):
+            _fold_by_operators(triples, None)
+    assert dot([(top, Y, 1), (top, 2, -1)]) == top * Y - top * 2
