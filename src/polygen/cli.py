@@ -174,16 +174,19 @@ def _family_params(args: argparse.Namespace) -> tuple[Family, dict]:
     return family, params
 
 
-def _print_json(family: Family, params: dict, **body: object) -> None:
+def _write_json(payload: object) -> None:
     """Write the payload piece by piece through ``sys.stdout.write``,
     looked up here, so that a replaced ``sys.stdout`` sees every byte."""
-    shown = {_flag(dest): value if isinstance(value, (int, str))
-             else str(value) for dest, value in params.items()}
     write = sys.stdout.write
-    for chunk in json_chunks({"family": family.name, "params": shown,
-                              **body}):
+    for chunk in json_chunks(payload):
         write(chunk)
     write("\n")
+
+
+def _print_json(family: Family, params: dict, **body: object) -> None:
+    shown = {_flag(dest): value if isinstance(value, (int, str))
+             else str(value) for dest, value in params.items()}
+    _write_json({"family": family.name, "params": shown, **body})
 
 
 def _print_rows(fmt: str, rows: Iterable[tuple[int, object]]) -> None:
@@ -256,7 +259,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         reports = [identities.run_check(check_id, bounds)]
     passed = sum(1 for r in reports if r.passed)
     if args.format == "json":
-        print(json.dumps([r.to_json_dict() for r in reports], indent=2))
+        _write_json([r.to_json_dict() for r in reports])
     elif args.format == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(["id", "passed", "counterexample"])

@@ -13,7 +13,9 @@ denominator ``den > 0``, always in lowest terms
 works on ints and ends with one ``math.gcd`` normalisation, so equal
 polynomials have equal representations.  A whole sum of products is one
 operation, :func:`dot`: every product goes into one int dict over the
-lcm of all denominators, normalised once at the end.  Adding two packed keys
+lcm of all denominators, normalised once at the end.  It is also the one
+place where complex values are multiplied: a polynomial product with a
+:class:`CPoly` factor is a one-term ``dot`` sum.  Adding two packed keys
 multiplies the underlying monomials.  ``MultiPoly.terms`` gives the
 coefficients as ``Fraction`` values, for reading only.
 
@@ -219,7 +221,9 @@ class MultiPoly:
     def __rsub__(self, other: object) -> "MultiPoly":
         return self.__neg__().__add__(other)
 
-    def __mul__(self, other: object) -> "MultiPoly":
+    def __mul__(self, other: object) -> "MultiPoly | CPoly":
+        if isinstance(other, CPoly):
+            return dot(((self, other, 1),))
         if not isinstance(other, MultiPoly):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
@@ -573,8 +577,13 @@ class CPoly:
     # ------------------------------------------------------------------
 
     @staticmethod
-    def real(p: MultiPoly | Scalar, reduced_s: bool = False) -> "CPoly":
-        if isinstance(p, (int, Fraction)):
+    def real(p: "CPoly | MultiPoly | Scalar",
+             reduced_s: bool = False) -> "CPoly":
+        """``p`` as a CPoly: a CPoly unchanged, else ``p`` with imaginary
+        part zero; ``reduced_s`` is the flag of a scalar ``p``."""
+        if isinstance(p, CPoly):
+            return p
+        if not isinstance(p, MultiPoly):
             p = MultiPoly.const(p, reduced_s)
         return CPoly(p, MultiPoly.zero(p.reduced_s))
 
@@ -597,20 +606,10 @@ class CPoly:
 
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _lift(other: object, reduced_s: bool) -> "CPoly | None":
-        if isinstance(other, CPoly):
-            return other
-        if isinstance(other, MultiPoly):
-            return CPoly.real(other)
-        if isinstance(other, (int, Fraction)):
-            return CPoly.real(MultiPoly.const(other, reduced_s))
-        return None
-
     def __add__(self, other: object) -> "CPoly":
-        rhs = CPoly._lift(other, self.reduced_s)
-        if rhs is None:
+        if not isinstance(other, _EXACT):
             return NotImplemented
+        rhs = CPoly.real(other, self.reduced_s)
         return CPoly(self.re + rhs.re, self.im + rhs.im)
 
     __radd__ = __add__
@@ -619,33 +618,27 @@ class CPoly:
         return CPoly(-self.re, -self.im)
 
     def __sub__(self, other: object) -> "CPoly":
-        rhs = CPoly._lift(other, self.reduced_s)
-        if rhs is None:
+        if not isinstance(other, _EXACT):
             return NotImplemented
+        rhs = CPoly.real(other, self.reduced_s)
         return CPoly(self.re - rhs.re, self.im - rhs.im)
 
     def __rsub__(self, other: object) -> "CPoly":
         return self.__neg__().__add__(other)
 
     def __mul__(self, other: object) -> "CPoly":
-        # A real factor needs two products, not the four of a lifted one.
-        if isinstance(other, (int, Fraction, MultiPoly)):
+        if isinstance(other, (int, Fraction)):
             return CPoly(self.re * other, self.im * other)
-        rhs = CPoly._lift(other, self.reduced_s)
-        if rhs is None:
+        if not isinstance(other, (MultiPoly, CPoly)):
             return NotImplemented
-        return CPoly(self.re * rhs.re - self.im * rhs.im,
-                     self.re * rhs.im + self.im * rhs.re)
+        return dot(((self, other, 1),))
 
     __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, bool):
+        if isinstance(other, bool) or not isinstance(other, _EXACT):
             return NotImplemented
-        if isinstance(other, (MultiPoly, int, Fraction)):
-            other = CPoly._lift(other, self.reduced_s)
-        if not isinstance(other, CPoly):
-            return NotImplemented
+        other = CPoly.real(other, self.reduced_s)
         return self.re == other.re and self.im == other.im
 
     def __hash__(self) -> int:
@@ -675,6 +668,10 @@ class CPoly:
         return json.loads("".join(json_chunks(self)))
 
 
+#: What a CPoly adds to, subtracts from and compares with.
+_EXACT = (CPoly, MultiPoly, int, Fraction)
+
+
 # ----------------------------------------------------------------------
 # Sums of products
 
@@ -682,10 +679,11 @@ class CPoly:
 def dot(triples: Iterable[tuple], zero: object = None) -> MultiPoly | CPoly:
     """sum c*a*b over (a, b, c): a a MultiPoly or CPoly, b one too or an
     exact scalar, c an exact scalar.  A CPoly factor splits into real
-    products, and every product goes straight into one int dict over
-    the lcm of all denominators, normalised once.  The result is a CPoly
-    when a factor or ``zero`` is; the empty sum is ``zero`` or 0.  As
-    for ``+`` and ``*``, all polynomials and ``zero`` share one flag."""
+    products by i*i = -1, the one place that rule is written, and every
+    product goes straight into one int dict over the lcm of all
+    denominators, normalised once.  The result is a CPoly when a factor
+    or ``zero`` is; the empty sum is ``zero`` or 0.  As for ``+`` and
+    ``*``, all polynomials and ``zero`` share one flag."""
     flags = set() if zero is None else {zero.reduced_s}
     cplx = isinstance(zero, CPoly)
     re: list = []
@@ -762,16 +760,16 @@ def json_chunks(value: object, pad: str = "") -> Iterator[str]:
     set; ``exp`` lists the exponents of the ``vars`` that occur, in
     alphabet order, and the terms come in canonical order.  Each
     MultiPoly is one piece, built straight from its term dict.  A CPoly
-    is ``{"re": ..., "im": ...}``.  A dict is an object; str, int and
-    bool are scalars; any other iterable is an array whose elements are
-    taken and written one at a time, so a generator of coefficients is
-    never held whole.
+    is ``{"re": ..., "im": ...}``.  A dict is an object; str, int, bool
+    and None are scalars; any other iterable is an array whose elements
+    are taken and written one at a time, so a generator of coefficients
+    is never held whole.
     """
     if isinstance(value, MultiPoly):
         yield _poly_json(value, pad)
     elif isinstance(value, CPoly):
         yield from json_chunks({"re": value.re, "im": value.im}, pad)
-    elif isinstance(value, (str, int)):
+    elif value is None or isinstance(value, (str, int)):
         yield json.dumps(value)
     else:
         is_dict = isinstance(value, dict)

@@ -41,8 +41,6 @@ from .errors import (EULER_POLE, DomainError, RangeError, SingularityError,
 from .exact import CPoly, MultiPoly, Rational, U, W, X, Y, check_r
 from .series import TruncSeries
 
-_KERNEL_NAMES = ("bernoulli", "euler")
-
 
 # ----------------------------------------------------------------------
 # family descriptors
@@ -149,7 +147,7 @@ class GKernel:
     r: int = 2
 
     def _series(self, order: int) -> TruncSeries:
-        return _lift_complex(_exp_u(self.r, order, W))
+        return _exp_u(self.r, order, W)
 
 
 @dataclass(frozen=True)
@@ -179,8 +177,11 @@ class M1:
 
     def _series(self, order: int) -> TruncSeries:
         g = build(GKernel(self.r), order)
-        if self.conj:
-            g = g + _conj_series(g) if self.conj > 0 else g - _conj_series(g)
+        # a name holding the conjugate series would raise peak memory
+        if self.conj > 0:
+            g = g + g.map_coeffs(lambda c: c.conj())
+        elif self.conj < 0:
+            g = g - g.map_coeffs(lambda c: c.conj())
         return build(R1(self.z, self.fkind, self.a, self.b), order) * g
 
 
@@ -263,8 +264,9 @@ class Nw:
     """e^(w*t) with w = x + i*y; complex EGF."""
 
     def _series(self, order: int) -> TruncSeries:
-        return _lift_complex(
-            series.exp(series.from_t_poly({1: W}, order, "egf")))
+        # a complex zero constant term keeps order 0 complex too
+        return series.exp(
+            series.from_t_poly({0: CPoly.zero(), 1: W}, order, "egf"))
 
 
 @dataclass(frozen=True)
@@ -285,43 +287,42 @@ class R1:
 # kernels
 
 
+@lru_cache(maxsize=None)
 def kernel_f(kind: str, a: Rational, order: int) -> TruncSeries:
     """The ``"bernoulli"`` or ``"euler"`` kernel series f(t, a) at the
     requested truncation order."""
-    if kind == "bernoulli":
-        return _bernoulli_kernel(Fraction(a), order)
-    if kind == "euler":
-        return _euler_kernel(Fraction(a), order)
-    raise UsageError(
-        f"unknown kernel kind {kind!r}; expected one of {_KERNEL_NAMES}")
+    if kind not in _KERNELS:
+        raise UsageError(f"unknown kernel kind {kind!r}; "
+                         f"expected one of {tuple(_KERNELS)}")
+    return _KERNELS[kind](Fraction(a), order)
 
 
-@lru_cache(maxsize=None)
 def _bernoulli_kernel(a: Fraction, order: int) -> TruncSeries:
     """t / (a*e^t - 1), via the removable singularity when a == 1."""
     if a == 1:
         # (e^t - 1)/t has coefficients 1/(n+1)! and unit constant term.
-        body = TruncSeries(
+        return series.invert(TruncSeries(
             [Fraction(1, math.factorial(n + 1)) for n in range(order + 1)],
-            order, "egf")
-        return series.invert(body)
-    denom = TruncSeries(
-        [a - 1] + [a * Fraction(1, math.factorial(n))
-                   for n in range(1, order + 1)],
-        order, "egf")
-    return series.from_t_poly({1: 1}, order, "egf") * series.invert(denom)
+            order, "egf"))
+    return (series.from_t_poly({1: 1}, order, "egf")
+            * series.invert(_a_exp_t_plus(a, -1, order)))
 
 
-@lru_cache(maxsize=None)
 def _euler_kernel(a: Fraction, order: int) -> TruncSeries:
     """2 / (a*e^t + 1); a = -1 kills the constant term, a true pole."""
     if a == -1:
         raise SingularityError(EULER_POLE)
-    denom = TruncSeries(
-        [a + 1] + [a * Fraction(1, math.factorial(n))
-                   for n in range(1, order + 1)],
-        order, "egf")
-    return series.invert(denom) * 2
+    return series.invert(_a_exp_t_plus(a, 1, order)) * 2
+
+
+def _a_exp_t_plus(a: Fraction, c: int, order: int) -> TruncSeries:
+    """a*e^t + c."""
+    return TruncSeries([a + c] + [a * Fraction(1, math.factorial(n))
+                                  for n in range(1, order + 1)],
+                       order, "egf")
+
+
+_KERNELS = {"bernoulli": _bernoulli_kernel, "euler": _euler_kernel}
 
 
 # ----------------------------------------------------------------------
@@ -342,29 +343,10 @@ def _cos_sin_yt(order: int) -> tuple[TruncSeries, TruncSeries]:
 def _exp_u(r: int, order: int, shift: object = 0) -> TruncSeries:
     """e^((shift+u1)*t + u2*t^2 + ... + ur*t^r)."""
     check_r(r)
-    powers = {j: U[j - 1] for j in range(1, r + 1)}
-    powers[1] = shift + U[0]
+    # 0*shift is a zero of the shift's type: complex at order 0 too
+    powers = {0: 0 * shift, 1: shift + U[0]}
+    powers.update((j, U[j - 1]) for j in range(2, r + 1))
     return series.exp(series.from_t_poly(powers, order, "egf"))
-
-
-def _conj_series(f: TruncSeries) -> TruncSeries:
-    return f.map_coeffs(lambda c: c.conj() if isinstance(c, CPoly) else c)
-
-
-def _lift_complex(f: TruncSeries) -> TruncSeries:
-    """Force every coefficient to CPoly.
-
-    exp seeds its recurrence with a rational 1, so coefficients that
-    happen to stay real (the constant term, at least) would otherwise
-    come out as plain polynomials and surprise attribute access.
-    """
-    def lift(c: object) -> CPoly:
-        if isinstance(c, CPoly):
-            return c
-        if isinstance(c, MultiPoly):
-            return CPoly.real(c)
-        return CPoly.real(MultiPoly.const(c))
-    return f.map_coeffs(lift)
 
 
 # ----------------------------------------------------------------------
@@ -410,11 +392,8 @@ def pfq(uppers: tuple, lowers: tuple, arg_scale: object, arg_power: int,
     if order < 0:
         raise UsageError("truncation order must be non-negative")
 
-    if isinstance(arg_scale, (int, Fraction)):
-        scale: object = MultiPoly.const(arg_scale)
-    elif isinstance(arg_scale, (MultiPoly, CPoly)):
-        scale = arg_scale
-    else:
+    if isinstance(arg_scale, bool) or not isinstance(
+            arg_scale, (int, Fraction, MultiPoly, CPoly)):
         raise UsageError("argument scale must be an exact polynomial or "
                          "rational")
 
@@ -430,7 +409,7 @@ def pfq(uppers: tuple, lowers: tuple, arg_scale: object, arg_power: int,
         for v in lows:
             ratio /= (v + m)
         ratio /= (m + 1)
-        term = term * scale * ratio
+        term = term * arg_scale * ratio
         m += 1
         coeffs[m * arg_power] = term
     return TruncSeries(coeffs, order, "ogf")

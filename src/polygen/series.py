@@ -15,10 +15,13 @@ Coefficients are :class:`~polygen.exact.MultiPoly` or
 constant polynomials).  Series of different truncation orders or
 conventions never mix silently: arithmetic between them is refused.
 
-Compositional operations (exponential, the cosine/sine pair, inversion,
-integer powers) are computed by coefficient recurrences derived from
-first-order differential equations, so each costs O(N^2) coefficient
-multiplications and stays exact.
+The exponential and the inverse share one coefficient recurrence,
+g_m = sum_{k=1..m} w(k, m)*f_k*g_{m-k}, that follows from a first-order
+differential equation (Brent and Kung, "Fast algorithms for manipulating
+formal power series", J. ACM 25(4), 1978), so each costs O(N^2)
+coefficient multiplications and stays exact.  The cosine/sine pair of a
+real series f is the real and imaginary part of exp(i*f), and integer
+powers are repeated squaring.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import json
 import math
 import os
 from fractions import Fraction
+from operator import attrgetter
 from typing import Callable, Mapping, Sequence, Union
 
 from .errors import (ZERO_CONSTANT_TERM, DomainError, RangeError,
@@ -172,10 +176,7 @@ class TruncSeries:
             [dot((a[i], b[k - i], 1) for i in range(k + 1))
              for k in range(self.order + 1)], self.order, self.convention)
 
-    def __rmul__(self, other: object) -> "TruncSeries":
-        if isinstance(other, (int, Fraction, MultiPoly, CPoly)):
-            return self.__mul__(other)
-        return NotImplemented
+    __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncSeries):
@@ -235,42 +236,41 @@ def from_t_poly(powers: Mapping[int, object], order: int,
 # compositional operations
 
 
+def _solve(f: TruncSeries, g0: Coef,
+           weight: Callable[[int, int], Fraction]) -> TruncSeries:
+    """The series g with g_0 = g0 and, for m >= 1,
+    g_m = sum_{k=1..m} weight(k, m)*f_k*g_{m-k}."""
+    g = [g0]
+    for m in range(1, f.order + 1):
+        g.append(dot((f.coeffs[k], g[m - k], weight(k, m))
+                     for k in range(1, m + 1)))
+    return TruncSeries(g, f.order, f.convention)
+
+
 def exp(f: TruncSeries) -> TruncSeries:
     """exp(f) for a series with zero constant term.
 
-    Uses the recurrence n*g_n = sum_{k=1..n} k*f_k*g_{n-k} that follows
-    from g' = f'*g, so no factorials or divisions besides 1/n appear.
+    g' = f'*g gives m*g_m = sum_{k=1..m} k*f_k*g_{m-k}, so no factorials
+    or divisions besides 1/m appear.  When a coefficient of f is a CPoly,
+    so is every coefficient of exp(f), the constant 1 included.
     """
-    c0 = f.raw(0)
-    if not c0.is_zero():
+    if not f.raw(0).is_zero():
         raise DomainError("series exponential needs a zero constant term")
-    n = f.order
-    g: list[Coef] = [MultiPoly.const(1)]
-    for m in range(1, n + 1):
-        g.append(dot((f.coeffs[k], g[m - k], Fraction(k, m))
-                     for k in range(1, m + 1)))
-    return TruncSeries(g, n, f.convention)
+    one = MultiPoly.const(1)
+    if any(isinstance(c, CPoly) for c in f.coeffs):
+        one = CPoly.real(one)
+    return _solve(f, one, Fraction)
 
 
 def cos_sin(f: TruncSeries) -> tuple[TruncSeries, TruncSeries]:
-    """The pair (cos(f), sin(f)) for a series with zero constant term.
-
-    The coupled recurrences n*c_n = -sum k*f_k*s_{n-k} and
-    n*s_n = sum k*f_k*c_{n-k} mirror c' = -f'*s, s' = f'*c.
-    """
-    c0 = f.raw(0)
-    if not c0.is_zero():
+    """The pair (cos(f), sin(f)) for a series with real coefficients and
+    zero constant term: the real and imaginary parts of exp(i*f)."""
+    if any(isinstance(c, CPoly) for c in f.coeffs):
+        raise UsageError("series cosine/sine need real coefficients")
+    if not f.raw(0).is_zero():
         raise DomainError("series cosine/sine need a zero constant term")
-    n = f.order
-    cos: list[Coef] = [MultiPoly.const(1)]
-    sin: list[Coef] = [MultiPoly.zero()]
-    for m in range(1, n + 1):
-        cos.append(dot((f.coeffs[k], sin[m - k], Fraction(-k, m))
-                       for k in range(1, m + 1)))
-        sin.append(dot((f.coeffs[k], cos[m - k], Fraction(k, m))
-                       for k in range(1, m + 1)))
-    return (TruncSeries(cos, n, f.convention),
-            TruncSeries(sin, n, f.convention))
+    e = exp(f.map_coeffs(lambda c: CPoly(MultiPoly.zero(c.reduced_s), c)))
+    return e.map_coeffs(attrgetter("re")), e.map_coeffs(attrgetter("im"))
 
 
 def invert(f: TruncSeries) -> TruncSeries:
@@ -279,26 +279,15 @@ def invert(f: TruncSeries) -> TruncSeries:
     The constant term must be a nonzero plain rational; anything else
     (zero, or a genuinely polynomial constant term) is a singularity.
     """
-    value = _unit_value(f.raw(0))
+    c0 = CPoly.real(f.raw(0))
+    value = c0.re.const_value() if c0.is_real() else None
     if value is None:
         raise SingularityError(
             "cannot invert a series whose constant term is not a rational")
     if value == 0:
         raise SingularityError(ZERO_CONSTANT_TERM)
-    n = f.order
-    inv0 = Fraction(1, 1) / value
-    g: list[Coef] = [MultiPoly.const(inv0)]
-    for m in range(1, n + 1):
-        g.append(dot((f.coeffs[k], g[m - k], -inv0) for k in range(1, m + 1)))
-    return TruncSeries(g, n, f.convention)
-
-
-def _unit_value(c0: Coef) -> Fraction | None:
-    if isinstance(c0, CPoly):
-        if not c0.is_real():
-            return None
-        c0 = c0.re
-    return c0.const_value()
+    inv0 = 1 / value
+    return _solve(f, MultiPoly.const(inv0), lambda k, m: -inv0)
 
 
 def pow_int(f: TruncSeries, z: int) -> TruncSeries:

@@ -241,6 +241,27 @@ def test_check_failure_exit_code(capsys, monkeypatch):
         del ids.DEFAULTS["cli_wrong"]
 
 
+def test_failing_check_json_matches_json_dumps(capsys):
+    from polygen import identities as ids
+    from polygen.exact import MultiPoly
+
+    @ids._register("cli_wrong_json", ids.Bounds(n_max=1, r_max=1))
+    def cli_wrong_json(bounds):
+        yield ({"n": 0, "route": "\u00fcber"}, MultiPoly.const(0),
+               MultiPoly.const(1))
+
+    try:
+        code, out, _ = run(capsys, "check", "--id", "cli_wrong_json",
+                           "--format", "json")
+        report = ids.run_check("cli_wrong_json",
+                               ids.DEFAULTS["cli_wrong_json"])
+    finally:
+        del ids.CHECKS["cli_wrong_json"]
+        del ids.DEFAULTS["cli_wrong_json"]
+    assert code == 1 and report.counterexample is not None
+    assert out == json.dumps([report.to_json_dict()], indent=2) + "\n"
+
+
 def test_determinism(capsys):
     first = run(capsys, "table", "--family", "m1", "--n", "0..4",
                 "--format", "json")
@@ -303,6 +324,32 @@ def test_json_outputs_are_golden(capsys):
         assert code == 0 and err == "", request
         parts.append(f"$ polygen {request}\n{out}")
     assert "".join(parts).encode() == golden.read_bytes()
+
+
+# the complex families at truncation order 0, where every power of t
+# that carries w is cut away and the one coefficient must stay complex
+_ORDER0_OUTPUTS = tuple(
+    f"series --family {family} --order 0 --format {fmt}"
+    for family in ("g-kernel", "nw", "m1", "m2", "m3")
+    for fmt in ("text", "json", "csv"))
+
+
+def test_order0_complex_outputs_are_golden(capsys):
+    golden = Path(__file__).parent / "data" / "order0_outputs.txt"
+    parts = []
+    for request in _ORDER0_OUTPUTS:
+        code, out, err = run(capsys, *request.split())
+        assert code == 0 and err == "", request
+        parts.append(f"$ polygen {request}\n{out}")
+    assert "".join(parts).encode() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("check_id", ["nk1", "nk2"])
+def test_conjugate_checks_run_at_n_max_0(capsys, check_id):
+    # nk1 and nk2 build M2 and M3, which conjugate each coefficient
+    code, out, err = run(capsys, "check", "--id", check_id, "--n-max", "0")
+    assert code == 0 and err == ""
+    assert out.splitlines()[0] == f"PASS {check_id}"
 
 
 class _WriteOnly:

@@ -1,0 +1,47 @@
+"""Source edits that the identity catalog must catch.
+
+Each entry edits one file of a copy of ``src/polygen`` and names checks
+that must fail against the edited copy, each run as ``python -m polygen
+check --id ...`` in a child process; the unedited copy must pass them.
+A fault the catalog misses would let both routes agree on a wrong value
+(DeMillo, Lipton and Sayward, "Hints on Test Data Selection", IEEE
+Computer 11(4), 1978).
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "polygen"
+
+#: (file, text, its replacement, checks that must fail)
+MUTATIONS = [
+    # i*i = +1: the sign of the a.im*b.im part of exact.dot
+    ("exact.py", "(re, a_im, b_im, -p)", "(re, a_im, b_im, p)",
+     ("lemma1", "k-decomposition", "n-hypergeom-0f1")),
+]
+
+
+def _check(root: Path, check_id: str) -> int:
+    env = {**os.environ, "PYTHONPATH": str(root)}
+    return subprocess.run(
+        [sys.executable, "-m", "polygen", "check", "--id", check_id,
+         "--n-max", "4"],
+        cwd=root, env=env, capture_output=True, timeout=300).returncode
+
+
+@pytest.mark.parametrize("name, text, replacement, check_ids", MUTATIONS)
+def test_catalog_catches_mutation(tmp_path, name, text, replacement,
+                                  check_ids):
+    shutil.copytree(SRC, tmp_path / "polygen",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    assert [_check(tmp_path, c) for c in check_ids] == [0] * len(check_ids)
+    path = tmp_path / "polygen" / name
+    source = path.read_text(encoding="utf-8")
+    assert source.count(text) == 1
+    path.write_text(source.replace(text, replacement), encoding="utf-8")
+    assert [_check(tmp_path, c) for c in check_ids] == [1] * len(check_ids)

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from polygen.errors import (DomainError, RangeError, SingularityError,
                             UsageError)
-from polygen.exact import MultiPoly, X, Y
-from polygen.series import (TruncSeries, constant, cos_sin, default_order,
-                            exp, from_t_poly, invert, pow_int)
+from polygen.exact import CPoly, MultiPoly, W, X, Y
+from polygen.series import (constant, cos_sin, default_order, exp,
+                            from_t_poly, invert, pow_int)
 
 
 def test_geometric_inverse():
@@ -52,6 +52,19 @@ def test_cos_sin_values():
 def test_cos_sin_pythagoras():
     c, s = cos_sin(from_t_poly({1: X, 3: Y}, 8, "egf"))
     assert c * c + s * s == constant(1, 8, "egf")
+
+
+def test_cos_sin_refuses_complex_coefficients():
+    # cos(f) and sin(f) are the parts of exp(i*f) only for a real f
+    with pytest.raises(UsageError):
+        cos_sin(from_t_poly({1: W}, 4, "egf"))
+
+
+def test_exp_of_complex_series_is_complex_at_every_index():
+    e = exp(from_t_poly({1: W, 2: X}, 5, "egf"))
+    assert all(type(e.raw(n)) is CPoly for n in range(6))
+    assert e.raw(0) == 1 and e.raw(1) == W
+    assert e.coefficient(2) == W * W + X * 2
 
 
 def test_invert_errors():

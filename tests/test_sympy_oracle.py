@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polygen import closedform
-from polygen.exact import VARS, MultiPoly, _unpack
+from polygen.exact import VARS, CPoly, MultiPoly, _unpack
 
 sympy = pytest.importorskip("sympy")
 QQ = sympy.QQ
@@ -51,6 +51,24 @@ def test_add_and_mul_match_sympy(p, q):
     assert to_sympy(p + q) == to_sympy(p) + to_sympy(q)
     assert to_sympy(p - q) == to_sympy(p) - to_sympy(q)
     assert to_sympy(p * q) == to_sympy(p) * to_sympy(q)
+
+
+def complex_expr(z):
+    """re + I*im of a CPoly, or the expression of a MultiPoly."""
+    if isinstance(z, MultiPoly):
+        return to_sympy(z).as_expr()
+    return complex_expr(z.re) + sympy.I * complex_expr(z.im)
+
+
+@given(polys(), polys(), polys(), polys())
+@settings(max_examples=40, deadline=None)
+def test_complex_products_match_sympy(p, q, r, s):
+    # SymPy applies I**2 = -1 itself; polygen only inside exact.dot
+    z, w = CPoly(p, q), CPoly(r, s)
+    for got, left, right in ((z * w, z, w), (r * z, r, z), (z * r, z, r)):
+        assert isinstance(got, CPoly)
+        assert sympy.expand(complex_expr(got)
+                            - complex_expr(left) * complex_expr(right)) == 0
 
 
 @given(polys(), polys(), _names, _coefs)
