@@ -4,8 +4,12 @@ polynomial families.
 Everything is computed over the rationals with zero tolerance: series
 coefficients come from truncated power-series algebra, closed forms
 from explicit sums and recurrences, and the identities module compares
-the two routes term by term.
+the two routes term by term.  It loads on first use, as
+``polygen.identities``, so that a program which only builds series or
+tables does not pay for the catalog.
 """
+
+import importlib
 
 from .errors import (DomainError, PolygenError, RangeError,
                      SingularityError, UsageError)
@@ -13,7 +17,7 @@ from .exact import (VARS, CPoly, MultiPoly, Rational, S, U, W, W_BAR, X, Y,
                     binom, falling)
 from .series import (TruncSeries, cos_sin, default_order, exp, invert,
                      pow_int)
-from . import closedform, genfun, identities
+from . import closedform, genfun
 
 __version__ = "0.1.0"
 
@@ -26,3 +30,11 @@ __all__ = [
     "genfun", "closedform", "identities",
     "__version__",
 ]
+
+
+def __getattr__(name: str) -> object:
+    # importlib, not "from . import": the import statement asks this
+    # hook first and would recurse
+    if name == "identities":
+        return importlib.import_module(".identities", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

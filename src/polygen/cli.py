@@ -20,17 +20,13 @@ error, 3 mathematical singularity.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import re
 import sys
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 from . import closedform as cf
 from . import genfun as gf
-from . import identities
 from . import series as series_mod
 from .errors import DomainError, RangeError, SingularityError, UsageError
 from .exact import MultiPoly, json_chunks
@@ -76,8 +72,7 @@ def _parse_n_range(text: str) -> range:
 # family registry
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(gf.Record):
     """One named family: its flags and its two routes."""
 
     name: str
@@ -94,7 +89,7 @@ _DESTS = ("k", "lam", "z", "a", "b", "alpha", "j", "r", "fkind")
 
 def _family(name, descriptor, closed_fn, aliases=(), params=None):
     if params is None:
-        params = {field.name: field.default for field in fields(descriptor)}
+        params = dict(descriptor._fields)
     entry = Family(name, params, descriptor, closed_fn)
     _FAMILIES[name] = entry
     for alias in aliases:
@@ -192,6 +187,7 @@ def _print_json(family: Family, params: dict, **body: object) -> None:
 def _print_rows(fmt: str, rows: Iterable[tuple[int, object]]) -> None:
     """One (n, value) row per line, as text or as CSV."""
     if fmt == "csv":
+        import csv
         writer = csv.writer(sys.stdout)
         writer.writerow(["n", "value"])
         writer.writerows([n, str(value)] for n, value in rows)
@@ -248,6 +244,12 @@ def _cmd_expand(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    # imported here, so that the other commands start without them
+    import csv
+    import json
+
+    from . import identities
+
     if (args.suite is None) == (args.check_id is None):
         raise UsageError("check needs exactly one of --suite or --id")
     if args.suite is not None:

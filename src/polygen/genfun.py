@@ -1,13 +1,13 @@
 """Generating-function constructions for every supported family.
 
 A family is one descriptor below plus one ``_family`` row in
-:mod:`polygen.cli`.  A descriptor is a frozen dataclass: its fields
-are the family's parameters in positional order and its CLI flags,
-their defaults the flag defaults, and its ``_series(order)`` method
-builds its series.  A class names its cosine/sine side, kernel or
-conjugate sign in a class attribute; a family that differs only there
-subclasses it, keeping its fields and method, and overrides that.
-:func:`build` turns a descriptor into a
+:mod:`polygen.cli`.  A descriptor is a :class:`Record`, a small frozen
+value class: its annotated fields are the family's parameters in
+positional order and its CLI flags, their defaults the flag defaults,
+and its ``_series(order)`` method builds its series.  A class names
+its cosine/sine side, kernel or conjugate sign in a class attribute; a
+family that differs only there subclasses it, keeping its fields and
+method, and overrides that.  :func:`build` turns a descriptor into a
 :class:`~polygen.series.TruncSeries` whose coefficients are exact
 polynomials.  Chebyshev and Dickson families are ordinary generating
 functions; every other family is exponential.
@@ -31,7 +31,6 @@ families through the module-level :func:`build` and its cache.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -43,11 +42,74 @@ from .series import TruncSeries
 
 
 # ----------------------------------------------------------------------
+# the record base
+
+_REQUIRED = object()
+
+
+class Record:
+    """A frozen value with named fields, like a frozen dataclass.
+
+    A subclass's annotated class attributes are its fields, after those
+    it inherits; an assigned value is the field's default, and a field
+    without one is required.  Instances compare equal only to instances
+    of the same class with equal values, and hash by those values.
+    """
+
+    _fields: tuple[tuple[str, object], ...] = ()
+
+    def __init_subclass__(cls):
+        own = vars(cls).get("__annotations__", {})
+        cls._fields += tuple((name, vars(cls).get(name, _REQUIRED))
+                             for name in own)
+
+    def __init__(self, *args, **kwargs):
+        kind = type(self).__name__
+        if len(args) > len(self._fields):
+            raise TypeError(f"{kind} takes at most {len(self._fields)} "
+                            f"values, got {len(args)}")
+        values = list(args)
+        for name, default in self._fields[len(args):]:
+            value = kwargs.pop(name, default)
+            if value is _REQUIRED:
+                raise TypeError(f"{kind} needs a value for {name!r}")
+            values.append(value)
+        if kwargs:
+            raise TypeError(f"{kind} got an unknown or repeated field "
+                            f"{next(iter(kwargs))!r}")
+        names = [name for name, _ in self._fields]
+        vars(self).update(zip(names, values), _values=tuple(values))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={value!r}" for (name, _), value
+                          in zip(self._fields, self._values))
+        return f"{type(self).__qualname__}({shown})"
+
+    def replace(self, **changes):
+        """A copy with the given fields changed."""
+        names = [name for name, _ in self._fields]
+        return type(self)(**{**dict(zip(names, self._values)), **changes})
+
+
+# ----------------------------------------------------------------------
 # family descriptors
 
 
-@dataclass(frozen=True)
-class ApostolBernoulli:
+class ApostolBernoulli(Record):
     """(t/(lam*e^t - 1))**k * e^(x*t); EGF."""
     k: int = 1
     lam: Rational = Fraction(1)
@@ -63,8 +125,7 @@ class ApostolEuler(ApostolBernoulli):
     kernel = "euler"
 
 
-@dataclass(frozen=True)
-class CosC:
+class CosC(Record):
     """e^(x*t) * cos(y*t); EGF."""
     side = 0
 
@@ -77,8 +138,7 @@ class SinS(CosC):
     side = 1
 
 
-@dataclass(frozen=True)
-class ChebyshevT:
+class ChebyshevT(Record):
     """(1 - x*t) / (1 - 2*x*t + t^2); OGF."""
 
     def _series(self, order: int) -> TruncSeries:
@@ -87,8 +147,7 @@ class ChebyshevT:
         return numer * series.invert(denom)
 
 
-@dataclass(frozen=True)
-class ChebyshevU:
+class ChebyshevU(Record):
     """1 / (1 - 2*x*t + t^2); OGF."""
 
     def _series(self, order: int) -> TruncSeries:
@@ -96,8 +155,7 @@ class ChebyshevU:
         return series.invert(denom)
 
 
-@dataclass(frozen=True)
-class DicksonD:
+class DicksonD(Record):
     """(2 - x*t) / (1 - x*t + alpha*t^2); OGF."""
     alpha: Rational = Fraction(1)
 
@@ -108,8 +166,7 @@ class DicksonD:
         return numer * series.invert(denom)
 
 
-@dataclass(frozen=True)
-class DicksonE:
+class DicksonE(Record):
     """1 / (1 - x*t + alpha*t^2); OGF."""
     alpha: Rational = Fraction(1)
 
@@ -119,8 +176,7 @@ class DicksonE:
         return series.invert(denom)
 
 
-@dataclass(frozen=True)
-class GouldHopper:
+class GouldHopper(Record):
     """e^(x*t + y*t^j) for j >= 2; EGF."""
     j: int = 2
 
@@ -132,8 +188,7 @@ class GouldHopper:
         return series.exp(arg)
 
 
-@dataclass(frozen=True)
-class HermiteGen:
+class HermiteGen(Record):
     """e^(u1*t + u2*t^2 + ... + ur*t^r); EGF."""
     r: int = 2
 
@@ -141,8 +196,7 @@ class HermiteGen:
         return _exp_u(self.r, order)
 
 
-@dataclass(frozen=True)
-class GKernel:
+class GKernel(Record):
     """e^(w*t + sum u_j t^j) with w = x + i*y; complex EGF."""
     r: int = 2
 
@@ -150,8 +204,7 @@ class GKernel:
         return _exp_u(self.r, order, W)
 
 
-@dataclass(frozen=True)
-class K1Kernel:
+class K1Kernel(Record):
     """e^((x+u1)*t + sum_{j>=2} u_j t^j) * cos(y*t); EGF."""
     r: int = 2
     side = 0
@@ -165,8 +218,7 @@ class K2Kernel(K1Kernel):
     side = 1
 
 
-@dataclass(frozen=True)
-class M1:
+class M1(Record):
     """(b + f(t,a))**z * e^(w*t + sum u_j t^j); complex EGF."""
     z: int = 1
     fkind: str = "bernoulli"
@@ -195,8 +247,7 @@ class M3(M1):
     conj = -1
 
 
-@dataclass(frozen=True)
-class M4:
+class M4(Record):
     """e^(sum u_j t^j) * cos(y*t); EGF."""
     r: int = 2
     side = 0
@@ -210,8 +261,7 @@ class M5(M4):
     side = 1
 
 
-@dataclass(frozen=True)
-class Bform:
+class Bform(Record):
     """2 * (b + f(t,a))**z * e^(x*t) * e^(sum u_j t^j) * cos(y*t); EGF."""
     z: int = 1
     fkind: str = "bernoulli"
@@ -231,8 +281,7 @@ class B1form(Bform):
     side = 1
 
 
-@dataclass(frozen=True)
-class BC:
+class BC(Record):
     """(t/(a*e^t - 1))**z * e^(x*t) * cos(y*t); EGF."""
     z: int = 1
     a: Rational = Fraction(1)
@@ -259,8 +308,7 @@ class ES(BC):
     kernel, side = "euler", 1
 
 
-@dataclass(frozen=True)
-class Nw:
+class Nw(Record):
     """e^(w*t) with w = x + i*y; complex EGF."""
 
     def _series(self, order: int) -> TruncSeries:
@@ -269,8 +317,7 @@ class Nw:
             series.from_t_poly({0: CPoly.zero(), 1: W}, order, "egf"))
 
 
-@dataclass(frozen=True)
-class R1:
+class R1(Record):
     """(b + f(t,a))**z, a scalar-coefficient EGF."""
     z: int = 1
     fkind: str = "bernoulli"

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterator
 
@@ -48,8 +47,7 @@ _DEFAULT_RATIONALS = (Fraction(1), Fraction(2), Fraction(1, 2),
                       Fraction(-1, 2))
 
 
-@dataclass(frozen=True)
-class Bounds:
+class Bounds(gf.Record):
     """Sweep bounds for one check: index caps and parameter samples."""
 
     n_max: int = 10
@@ -68,8 +66,7 @@ class Bounds:
         }
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(gf.Record):
     """Outcome of one check over one set of bounds."""
 
     check_id: str
@@ -674,8 +671,10 @@ def _dickson_gf_discrepancy(bounds: Bounds) -> CheckReport:
     check_id = "dickson_gf_discrepancy"
     order = bounds.n_max
     half_x = X * Fraction(1, 2)
-    denom = series.from_t_poly({0: 1, 1: -X, 2: 1}, order, "ogf")
-    printed = series.from_t_poly({0: 1, 1: X * -2}, order, "ogf") \
+    # the variant is read at n = 1, so it reaches t^1 at n_max = 0 too
+    variant_order = max(order, 1)
+    denom = series.from_t_poly({0: 1, 1: -X, 2: 1}, variant_order, "ogf")
+    printed = series.from_t_poly({0: 1, 1: X * -2}, variant_order, "ogf") \
         * series.invert(denom)
     corrected = gf.build(gf.DicksonD(Fraction(1)), order)
     for n in range(order + 1):
@@ -764,9 +763,9 @@ def default_bounds(check_id: str, n_max: int | None = None,
         raise UsageError(f"unknown check id {check_id!r}")
     bounds = DEFAULTS[check_id]
     if n_max is not None:
-        bounds = replace(bounds, n_max=n_max)
+        bounds = bounds.replace(n_max=n_max)
     if r_max is not None:
-        bounds = replace(bounds, r_max=r_max)
+        bounds = bounds.replace(r_max=r_max)
     return bounds
 
 

@@ -215,8 +215,7 @@ def constant(value: object, order: int,
              convention: str = "egf") -> TruncSeries:
     """The constant series value + 0*t + ..."""
     coeffs: list[object] = [_lift(value)]
-    zero = MultiPoly.zero()
-    coeffs.extend([zero] * order)
+    coeffs.extend([0 * coeffs[0]] * order)  # zeros of the value's kind
     return TruncSeries(coeffs, order, convention)
 
 
@@ -236,6 +235,19 @@ def from_t_poly(powers: Mapping[int, object], order: int,
 # compositional operations
 
 
+def _seed(f: TruncSeries, value: object = 1) -> Coef:
+    """The constant ``value`` as the seed of a series computed from f.
+
+    It is a CPoly when any coefficient of f is one, and each result
+    coefficient carries a seed factor, so a series computed from a
+    complex f is complex at every index, the constant term included.
+    """
+    one = MultiPoly.const(value)
+    if any(isinstance(c, CPoly) for c in f.coeffs):
+        return CPoly.real(one)
+    return one
+
+
 def _solve(f: TruncSeries, g0: Coef,
            weight: Callable[[int, int], Fraction]) -> TruncSeries:
     """The series g with g_0 = g0 and, for m >= 1,
@@ -251,15 +263,11 @@ def exp(f: TruncSeries) -> TruncSeries:
     """exp(f) for a series with zero constant term.
 
     g' = f'*g gives m*g_m = sum_{k=1..m} k*f_k*g_{m-k}, so no factorials
-    or divisions besides 1/m appear.  When a coefficient of f is a CPoly,
-    so is every coefficient of exp(f), the constant 1 included.
+    or divisions besides 1/m appear.
     """
     if not f.raw(0).is_zero():
         raise DomainError("series exponential needs a zero constant term")
-    one = MultiPoly.const(1)
-    if any(isinstance(c, CPoly) for c in f.coeffs):
-        one = CPoly.real(one)
-    return _solve(f, one, Fraction)
+    return _solve(f, _seed(f), Fraction)
 
 
 def cos_sin(f: TruncSeries) -> tuple[TruncSeries, TruncSeries]:
@@ -287,7 +295,7 @@ def invert(f: TruncSeries) -> TruncSeries:
     if value == 0:
         raise SingularityError(ZERO_CONSTANT_TERM)
     inv0 = 1 / value
-    return _solve(f, MultiPoly.const(inv0), lambda k, m: -inv0)
+    return _solve(f, _seed(f, inv0), lambda k, m: -inv0)
 
 
 def pow_int(f: TruncSeries, z: int) -> TruncSeries:
@@ -296,7 +304,7 @@ def pow_int(f: TruncSeries, z: int) -> TruncSeries:
         raise UsageError("series powers must be integers")
     if z < 0:
         return pow_int(invert(f), -z)
-    result = constant(1, f.order, f.convention)
+    result = constant(_seed(f), f.order, f.convention)
     base = f
     while z:
         if z & 1:

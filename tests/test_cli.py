@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import polygen
 from polygen import cli, closedform, series
 from polygen import genfun as gf
 
@@ -118,7 +119,7 @@ def test_check_suite_json(capsys):
     assert code == 0
     doc = json.loads(out)
     assert [r["id"] for r in doc] == list(
-        cli.identities.SUITES["discrepancies"])
+        polygen.identities.SUITES["discrepancies"])
     assert all(r["passed"] for r in doc)
 
 
@@ -473,13 +474,18 @@ def test_heavy_outputs_are_pinned(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, request
 
 
-def _cold(*argv):
-    """One ``python -m polygen`` child on the polygen these tests import."""
+def _child(*args):
+    """One ``python *args`` child on the polygen these tests import."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, "-m", "polygen", *argv],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, timeout=60,
                           env=dict(os.environ, PYTHONPATH=path))
+
+
+def _cold(*argv):
+    """One ``python -m polygen`` child."""
+    return _child("-m", "polygen", *argv)
 
 
 def test_answers_past_the_int_str_limit_print():
@@ -507,3 +513,61 @@ def test_rational_digit_cap_refuses_at_once():
     proc = _cold("table", "--family", "r1", "--a", "1e99", "--n", "0")
     assert proc.returncode == 2 and proc.stdout == ""
     assert "decimal notation" in proc.stderr
+
+
+def _imported_by(*argv):
+    """The modules that ``cli.main(argv)`` imports in a new interpreter,
+    and its stdout."""
+    probe = ("import sys\n"
+             "before = set(sys.modules)\n"
+             "from polygen import cli\n"
+             "code = cli.main(sys.argv[1:])\n"
+             "print(*set(sys.modules) - before, file=sys.stderr)\n"
+             "sys.exit(code)\n")
+    proc = _child("-c", probe, *argv)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.split()), proc.stdout
+
+
+def test_series_and_table_children_load_only_what_they_run():
+    unused = {"polygen.identities", "dataclasses", "inspect", "csv"}
+    for argv in (("series", "--family", "m2", "--order", "3",
+                  "--format", "json"),
+                 ("table", "--family", "bc", "--n", "0..3"),
+                 ("expand", "--family", "chebyshev-t", "--n", "0")):
+        imported, _ = _imported_by(*argv)
+        assert "polygen.genfun" in imported and not imported & unused, argv
+    imported, out = _imported_by("table", "--family", "bc", "--n", "0..1",
+                                 "--format", "csv")
+    assert "csv" in imported and out.startswith("n,value")
+
+
+def test_check_child_loads_no_dataclasses():
+    imported, out = _imported_by("check", "--id", "lemma1", "--n-max", "2")
+    assert out.startswith("PASS lemma1")
+    assert "polygen.identities" in imported and "dataclasses" not in imported
+
+
+def test_identities_stays_reachable_from_the_package():
+    probe = ("import sys, polygen\n"
+             "assert 'polygen.identities' not in sys.modules\n"
+             "ids = polygen.identities\n"
+             "from polygen import identities\n"
+             "assert identities is ids and 'lemma1' in ids.CHECKS\n"
+             "namespace = {}\n"
+             "exec('from polygen import *', namespace)\n"
+             "assert set(polygen.__all__) <= set(namespace)\n"
+             "assert namespace['identities'] is ids\n"
+             "try:\n"
+             "    polygen.no_such_name\n"
+             "except AttributeError:\n"
+             "    print('ok')\n")
+    proc = _child("-c", probe)
+    assert proc.returncode == 0 and proc.stdout == "ok\n", proc.stderr
+
+
+def test_check_suite_all_runs_at_n_max_0():
+    proc = _cold("check", "--suite", "all", "--n-max", "0")
+    assert proc.returncode == 0, proc.stderr
+    total = len(polygen.identities.check_ids())
+    assert proc.stdout.splitlines()[-1] == f"passed {total}/{total}"

@@ -195,3 +195,60 @@ def test_pfq_errors():
                X, 1, 4)
     # half-integer lower parameters are allowed
     gf.pfq((), (Fraction(-1, 2),), X, 1, 4)
+
+
+def test_record_value_semantics():
+    m2 = gf.M2(2, "euler", Fraction(3), HALF, 3)
+    assert m2 == gf.M2(z=2, fkind="euler", a=3, b=HALF, r=3)
+    assert hash(m2) == hash(gf.M2(2, "euler", 3, HALF, 3))
+    assert m2 != gf.M2(2, "euler", Fraction(3), HALF, 2)
+    assert gf.M2() == gf.M2(1, "bernoulli", 1, 1, 2)
+    assert repr(gf.DicksonD(2)) == "DicksonD(alpha=2)"
+    assert repr(gf.ChebyshevT()) == "ChebyshevT()"
+    assert repr(m2) == ("M2(z=2, fkind='euler', a=Fraction(3, 1), "
+                        "b=Fraction(1, 2), r=3)")
+    for action in (lambda: setattr(m2, "r", 4),
+                   lambda: setattr(m2, "new", 4),
+                   lambda: delattr(m2, "r")):
+        with pytest.raises(AttributeError):
+            action()
+    assert m2.r == 3
+
+
+def test_record_sibling_classes_stay_apart():
+    bern, euler = gf.ApostolBernoulli(1, 1), gf.ApostolEuler(1, 1)
+    assert bern != euler and {bern: 0, euler: 1}[euler] == 1
+    assert gf.build(bern, 4) != gf.build(euler, 4)
+    assert gf.CosC() != gf.SinS()
+    assert gf.build(gf.CosC(), 4) != gf.build(gf.SinS(), 4)
+    assert gf.M1(2) != gf.M2(2) != gf.M3(2)
+    assert (bern == object()) is False
+
+
+def test_record_fields_and_errors():
+    assert gf.R1._fields == (("z", 1), ("fkind", "bernoulli"),
+                             ("a", Fraction(1)), ("b", Fraction(1)))
+    assert gf.ApostolEuler._fields == gf.ApostolBernoulli._fields
+
+    class Pair(gf.Record):
+        left: int
+        right: int = 0
+
+    assert Pair(1) == Pair(left=1, right=0)
+    for args, kwargs in (((), {}), ((), {"right": 1}), ((1, 2, 3), {}),
+                         ((1,), {"left": 2}), ((1,), {"middle": 2})):
+        with pytest.raises(TypeError):
+            Pair(*args, **kwargs)
+    with pytest.raises(TypeError):
+        gf.DicksonD(alpha=2, beta=3)
+
+
+def test_record_replace():
+    m1 = gf.M1(2, "euler")
+    changed = m1.replace(r=4, b=HALF)
+    assert changed == gf.M1(2, "euler", 1, HALF, 4)
+    assert type(changed) is gf.M1 and m1.r == 2
+    assert gf.M3(2).replace() == gf.M3(2)
+    assert type(gf.M3(2).replace(z=3)) is gf.M3
+    with pytest.raises(TypeError):
+        m1.replace(s=1)

@@ -1,7 +1,6 @@
 """Check runner: registry shape, bounds validation, counterexample
 reporting, and a fast pass over every suite at reduced depth."""
 
-import dataclasses
 import json
 from fractions import Fraction
 
@@ -37,18 +36,18 @@ def test_default_bounds_lookup():
 def test_bounds_validation():
     good = ids.Bounds()
     for bad in (
-        dataclasses.replace(good, n_max=ids.N_LIMIT + 1),
-        dataclasses.replace(good, n_max=-1),
-        dataclasses.replace(good, r_max=0),
-        dataclasses.replace(good, r_max=ids.R_LIMIT + 1),
-        dataclasses.replace(good, z_values=(5,)),
-        dataclasses.replace(good, z_values=()),
-        dataclasses.replace(good, a_values=()),
+        good.replace(n_max=ids.N_LIMIT + 1),
+        good.replace(n_max=-1),
+        good.replace(r_max=0),
+        good.replace(r_max=ids.R_LIMIT + 1),
+        good.replace(z_values=(5,)),
+        good.replace(z_values=()),
+        good.replace(a_values=()),
     ):
         with pytest.raises(UsageError):
             ids.run_check("lemma1", bad)
     with pytest.raises(UsageError):
-        ids.run_check("lemma1", dataclasses.replace(good, n_max="8"))
+        ids.run_check("lemma1", good.replace(n_max="8"))
 
 
 def test_unknown_check_and_suite():
@@ -60,8 +59,7 @@ def test_unknown_check_and_suite():
 
 def test_report_json_shape():
     report = ids.run_check("lemma1",
-                           dataclasses.replace(ids.DEFAULTS["lemma1"],
-                                               n_max=3, r_max=1))
+                           ids.DEFAULTS["lemma1"].replace(n_max=3, r_max=1))
     assert report.passed and report.counterexample is None
     d = report.to_json_dict()
     assert d["id"] == "lemma1"
@@ -153,7 +151,7 @@ def test_run_suite_shallow():
     "second_derivative", "recurrence_s1_s2", "tileu", "tileu2",
 ])
 def test_check_passes_shallow(check_id):
-    bounds = dataclasses.replace(ids.DEFAULTS[check_id], n_max=5, r_max=1)
+    bounds = ids.DEFAULTS[check_id].replace(n_max=5, r_max=1)
     report = ids.run_check(check_id, bounds)
     assert report.passed, report.counterexample
 
@@ -165,10 +163,10 @@ def test_check_passes_shallow(check_id):
 ])
 def test_grid_check_passes_shallow(check_id):
     base = ids.DEFAULTS[check_id]
-    bounds = dataclasses.replace(base, n_max=4, r_max=1,
-                                 z_values=(1, 2),
-                                 a_values=base.a_values[:2],
-                                 b_values=base.b_values[:1])
+    bounds = base.replace(n_max=4, r_max=1,
+                          z_values=(1, 2),
+                          a_values=base.a_values[:2],
+                          b_values=base.b_values[:1])
     report = ids.run_check(check_id, bounds)
     assert report.passed, report.counterexample
 

@@ -67,6 +67,19 @@ def test_exp_of_complex_series_is_complex_at_every_index():
     assert e.coefficient(2) == W * W + X * 2
 
 
+def test_invert_and_pow_of_complex_series_are_complex_at_every_index():
+    f = from_t_poly({0: 1, 1: W}, 3, "egf")
+    inv = invert(f)
+    for g in (inv, pow_int(f, 2), pow_int(f, 0), pow_int(f, -1)):
+        assert [type(c) for c in g.coeffs] == [CPoly] * 4
+    assert inv * f == constant(1, 3, "egf")
+    assert pow_int(f, 2) == f * f and pow_int(f, -1) == inv
+    assert pow_int(f, 0).raw(0) == 1 and pow_int(f, 0).raw(3) == 0
+    real = from_t_poly({0: 1, 1: X}, 3, "egf")
+    for g in (invert(real), pow_int(real, 2), pow_int(real, 0)):
+        assert [type(c) for c in g.coeffs] == [MultiPoly] * 4
+
+
 def test_invert_errors():
     with pytest.raises(SingularityError):
         invert(from_t_poly({1: 1}, 4, "ogf"))
