@@ -43,11 +43,14 @@ def _check_n(n: int) -> None:
 # shared sums
 
 
-def _cs_parity(kind: str) -> int:
-    """0 for the cosine side "C", 1 for the sine side "S"."""
-    if kind not in ("C", "S"):
-        raise UsageError(f"unknown kind {kind!r}; expected 'C' or 'S'")
-    return ("C", "S").index(kind)
+def _choice(kind, options: tuple, what: str = "kind") -> int:
+    """The index of ``kind`` in ``options``, or a usage error naming
+    them all."""
+    if kind not in options:
+        names = [repr(option) for option in options]
+        raise UsageError(f"unknown {what} {kind!r}; expected "
+                         f"{', '.join(names[:-1])} or {names[-1]}")
+    return options.index(kind)
 
 
 def y_parity_sum(n: int, parity: int, g) -> MultiPoly:
@@ -75,7 +78,7 @@ def cs_poly(kind: str, n: int) -> MultiPoly:
     """The degree-n coefficient polynomial of e^(x*t)cos(y*t) ("C")
     or e^(x*t)sin(y*t) ("S"), as an explicit alternating sum."""
     _check_n(n)
-    return y_parity_sum(n, _cs_parity(kind),
+    return y_parity_sum(n, _choice(kind, ("C", "S")),
                         lambda m: MultiPoly.monomial({"x": m}))
 
 
@@ -83,9 +86,7 @@ def cs_poly(kind: str, n: int) -> MultiPoly:
 def chebyshev(kind: str, n: int) -> MultiPoly:
     """First kind T_n ("T"), or second kind U_{n-1} ("U", n >= 1)."""
     _check_n(n)
-    if kind not in ("T", "U"):
-        raise UsageError(f"unknown kind {kind!r}; expected 'T' or 'U'")
-    parity = ("T", "U").index(kind)
+    parity = _choice(kind, ("T", "U"))
     if n < parity:
         raise RangeError("chebyshev('U', n) returns U_{n-1}; needs n >= 1")
     # sum_k binom(n, 2k+p) x^(n-2k-p) (x^2-1)^k, each power from the last
@@ -102,12 +103,7 @@ def dickson(kind: str, n: int, alpha: Rational) -> MultiPoly:
     """Dickson value of the first ("D") or second ("E") kind at degree n."""
     _check_n(n)
     alpha = Fraction(alpha)
-    if kind == "D":
-        prev, cur = MultiPoly.const(2), MultiPoly.variable("x")
-    elif kind == "E":
-        prev, cur = _ONE, MultiPoly.variable("x")
-    else:
-        raise UsageError(f"unknown kind {kind!r}; expected 'D' or 'E'")
+    prev, cur = (MultiPoly.const(2), _ONE)[_choice(kind, ("D", "E"))], X
     if n == 0:
         return prev
     for _ in range(n - 1):
@@ -166,12 +162,10 @@ def kpoly(part: str, n: int, r: int) -> MultiPoly | CPoly:
     """
     _check_n(n)
     check_r(r)
-    if part == "K":
+    index = _choice(part, ("k1", "k2", "K"), "part")
+    if index == 2:
         return CPoly(kpoly("k1", n, r), kpoly("k2", n, r))
-    if part not in ("k1", "k2"):
-        raise UsageError(f"unknown part {part!r}; expected 'k1', 'k2' or 'K'")
-    return y_parity_sum(n, ("k1", "k2").index(part),
-                        lambda m: _hermite_shift(m, r))
+    return y_parity_sum(n, index, lambda m: _hermite_shift(m, r))
 
 
 @lru_cache(maxsize=None)
@@ -190,7 +184,8 @@ def cs_r(kind: str, n: int, r: int) -> MultiPoly:
     counterpart ("S"): alternating y-sums over Hermite-type values."""
     _check_n(n)
     check_r(r)
-    return y_parity_sum(n, _cs_parity(kind), lambda m: hermite_gen(m, r))
+    return y_parity_sum(n, _choice(kind, ("C", "S")),
+                        lambda m: hermite_gen(m, r))
 
 
 # ----------------------------------------------------------------------
@@ -232,7 +227,7 @@ def _kernel_numbers(kind: str, lam: Fraction,
                     count: int) -> tuple[Fraction, ...]:
     """Order-1 numbers, indices 0..count, of t/(lam*e^t - 1) ("B") or
     2/(lam*e^t + 1) ("E"): the -1 power of the kernel's denominator."""
-    if kind == "B":
+    if _choice(kind, ("B", "E")) == 0:
         if lam == 1:  # (e^t - 1)/t
             return _egf_power(
                 tuple(Fraction(1, n + 1) for n in range(count + 1)), -1)
@@ -240,11 +235,9 @@ def _kernel_numbers(kind: str, lam: Fraction,
         inv = _egf_power((lam - 1,) + (lam,) * (count - 1), -1)
         return (Fraction(0),) + tuple(n * inv[n - 1]
                                       for n in range(1, count + 1))
-    if kind == "E":
-        if lam == -1:
-            raise SingularityError(EULER_POLE)
-        return _egf_power(((lam + 1) / 2,) + (lam / 2,) * count, -1)
-    raise UsageError(f"unknown kind {kind!r}; expected 'B' or 'E'")
+    if lam == -1:
+        raise SingularityError(EULER_POLE)
+    return _egf_power(((lam + 1) / 2,) + (lam / 2,) * count, -1)
 
 
 def _apostol_numbers(kind: str, k: int, lam: Fraction, count: int,
@@ -270,11 +263,8 @@ def kernel_power_numbers(z: int, fkind: str, a: Rational, b: Rational,
     kernel f = t/(a*e^t - 1) ("bernoulli") or 2/(a*e^t + 1) ("euler");
     z < 0 is singular when b + f(0, a) = 0."""
     _check_n(count)
-    if fkind not in ("bernoulli", "euler"):
-        raise UsageError(f"unknown kernel kind {fkind!r}; expected "
-                         f"'bernoulli' or 'euler'")
-    return _apostol_numbers(fkind[0].upper(), z, Fraction(a), count,
-                            Fraction(b))
+    kind = "BE"[_choice(fkind, ("bernoulli", "euler"), "kernel kind")]
+    return _apostol_numbers(kind, z, Fraction(a), count, Fraction(b))
 
 
 def _appell(nums: tuple[Fraction, ...], n: int) -> MultiPoly:
@@ -307,11 +297,8 @@ def parametric_apostol(kind: str, n: int, z: int, a: Rational) -> MultiPoly:
     """
     _check_n(n)
     a = Fraction(a)
-    if kind not in ("BC", "BS", "EC", "ES"):
-        raise UsageError(
-            f"unknown kind {kind!r}; expected 'BC', 'BS', 'EC' or 'ES'")
-    return y_parity_sum(n, _cs_parity(kind[1]),
-                        lambda m: apostol(kind[0], m, z, a))
+    parity = _choice(kind, ("BC", "BS", "EC", "ES")) % 2
+    return y_parity_sum(n, parity, lambda m: apostol(kind[0], m, z, a))
 
 
 # ----------------------------------------------------------------------
@@ -342,9 +329,7 @@ def hpoly(kind: str, n: int, z: int, r: int, fkind: str,
     """
     _check_n(n)
     check_r(r)
-    if kind not in _H_VARIANTS:
-        raise UsageError(
-            f"unknown kind {kind!r}; expected 'h', 'h1' or 'h2'")
+    _choice(kind, tuple(_H_VARIANTS))
     nums = kernel_power_numbers(z, fkind, a, b, n)
     scale = 1 if kind == "h" else 2
     return binomial_convolution(
@@ -359,9 +344,7 @@ def frak_h(kind: int, n: int, z: int, r: int, fkind: str,
     2 * sum_j binom(n,j) kernel_poly(n-j) * cs_r value at j."""
     _check_n(n)
     check_r(r)
-    if kind not in (1, 2):
-        raise UsageError(f"unknown kind {kind!r}; expected 1 or 2")
-    cs_kind = "C" if kind == 1 else "S"
+    cs_kind = "CS"[_choice(kind, (1, 2))]
     return binomial_convolution(
         n, lambda j: cs_r(cs_kind, j, r),
         lambda m: _kernel_poly(m, z, fkind, a, b)) * 2

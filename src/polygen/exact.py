@@ -120,7 +120,7 @@ class MultiPoly:
     cache keys.
     """
 
-    __slots__ = ("num", "den", "reduced_s", "_hash")
+    __slots__ = ("num", "den", "reduced_s")
 
     def __init__(self, terms: Mapping[int, Scalar] | None = None,
                  reduced_s: bool = False):
@@ -131,7 +131,6 @@ class MultiPoly:
         self.num = made.num
         self.den = made.den
         self.reduced_s = reduced_s
-        self._hash: int | None = None
 
     @property
     def terms(self) -> dict[int, Fraction]:
@@ -273,14 +272,10 @@ class MultiPoly:
 
     def __hash__(self) -> int:
         # A constant equals its scalar value, so it must hash as that value.
-        if self._hash is None:
-            const = _const_num(self.num)
-            if const is not None:
-                self._hash = hash(Fraction(const, self.den))
-            else:
-                self._hash = hash((frozenset(self.num.items()), self.den,
-                                   self.reduced_s))
-        return self._hash
+        const = _const_num(self.num)
+        if const is not None:
+            return hash(Fraction(const, self.den))
+        return hash((frozenset(self.num.items()), self.den, self.reduced_s))
 
     def __bool__(self) -> bool:
         return bool(self.num)
@@ -447,7 +442,6 @@ def _raw(num: dict[int, int], den: int, reduced_s: bool) -> MultiPoly:
     p.num = num
     p.den = den
     p.reduced_s = reduced_s
-    p._hash = None
     return p
 
 

@@ -10,7 +10,9 @@ mismatch is reported verbatim as a counterexample.
 Three checks in the ``discrepancies`` suite are deliberate negative
 pins: they confirm that a known-broken variant of a formula really
 does disagree with the oracle while the corrected variant agrees.
-Those checks *pass* when the disagreement is present.
+Each is a generator of comparisons like every other check; its
+variant leg is a comparison row marked as sides that must differ, so
+the check *passes* only while the disagreement is present.
 
 Checks that share a shape (kernel series, the kernel-family grid, the
 Bernoulli/Euler reductions, the number-weighted convolutions) are rows
@@ -90,7 +92,9 @@ DEFAULTS: dict[str, Bounds] = {}
 SUITES: dict[str, tuple[str, ...]] = {}
 _section: str | None = None
 
-Comparison = tuple[dict, object, object]
+#: (inputs, lhs, rhs), whose sides must agree, or (inputs, lhs, rhs,
+#: True), whose sides must differ
+Comparison = tuple
 
 
 def _inputs_json(inputs: dict) -> dict:
@@ -100,41 +104,24 @@ def _inputs_json(inputs: dict) -> dict:
     return out
 
 
-def _fail(check_id: str, bounds: Bounds, inputs: dict, lhs: object,
-          rhs: object) -> CheckReport:
-    counterexample = {
-        "inputs": _inputs_json(inputs),
-        "lhs": str(lhs),
-        "rhs": str(rhs),
-    }
-    return CheckReport(check_id, bounds, False, counterexample)
-
-
-def _ok(check_id: str, bounds: Bounds) -> CheckReport:
-    return CheckReport(check_id, bounds, True, None)
-
-
 def _register(check_id: str, default: Bounds):
-    """Register a generator of (inputs, lhs, rhs) comparisons."""
+    """Register a generator of comparisons; the check fails at the
+    first one that breaks its expectation and reports it verbatim."""
     def deco(gen: Callable[[Bounds], Iterator[Comparison]]):
         def runner(bounds: Bounds) -> CheckReport:
-            for inputs, lhs, rhs in gen(bounds):
-                if not (lhs == rhs):
-                    return _fail(check_id, bounds, inputs, lhs, rhs)
-            return _ok(check_id, bounds)
+            for inputs, lhs, rhs, *must_differ in gen(bounds):
+                if (lhs == rhs) == any(must_differ):
+                    counterexample = {"inputs": _inputs_json(inputs),
+                                      "lhs": str(lhs), "rhs": str(rhs)}
+                    return CheckReport(check_id, bounds, False,
+                                       counterexample)
+            return CheckReport(check_id, bounds, True, None)
         runner.__name__ = f"check_{check_id}"
-        return _register_fn(check_id, default)(runner)
-    return deco
-
-
-def _register_fn(check_id: str, default: Bounds):
-    """Register a check that builds its own report."""
-    def deco(fn: Callable[[Bounds], CheckReport]):
-        CHECKS[check_id] = fn
+        CHECKS[check_id] = runner
         DEFAULTS[check_id] = default
         if _section is not None:
             SUITES[_section] = SUITES.get(_section, ()) + (check_id,)
-        return fn
+        return runner
     return deco
 
 
@@ -662,84 +649,65 @@ def _tileu2(bounds: Bounds) -> Iterator[Comparison]:
 _section = "discrepancies"
 
 
-@_register_fn("dickson_gf_discrepancy", Bounds(n_max=8))
-def _dickson_gf_discrepancy(bounds: Bounds) -> CheckReport:
+@_register("dickson_gf_discrepancy", Bounds(n_max=8))
+def _dickson_gf_discrepancy(bounds: Bounds) -> Iterator[Comparison]:
     """The numerator variant (1-2xt) of the first-kind Dickson
     generating function disagrees with the doubled-argument Chebyshev
     bridge at n = 1, while the classical numerator (2-xt) satisfies it
     everywhere.  This check passes when the disagreement is present."""
-    check_id = "dickson_gf_discrepancy"
-    order = bounds.n_max
     half_x = X * Fraction(1, 2)
+
+    def target(n: int) -> MultiPoly:
+        return cf.chebyshev("T", n).substitute("x", half_x) * 2
+
+    corrected = gf.build(gf.DicksonD(Fraction(1)), bounds.n_max)
+    for n in range(bounds.n_max + 1):
+        yield ({"n": n, "leg": "corrected"}, corrected.coefficient(n),
+               target(n))
     # the variant is read at n = 1, so it reaches t^1 at n_max = 0 too
-    variant_order = max(order, 1)
-    denom = series.from_t_poly({0: 1, 1: -X, 2: 1}, variant_order, "ogf")
-    printed = series.from_t_poly({0: 1, 1: X * -2}, variant_order, "ogf") \
+    order = max(bounds.n_max, 1)
+    denom = series.from_t_poly({0: 1, 1: -X, 2: 1}, order, "ogf")
+    printed = series.from_t_poly({0: 1, 1: X * -2}, order, "ogf") \
         * series.invert(denom)
-    corrected = gf.build(gf.DicksonD(Fraction(1)), order)
-    for n in range(order + 1):
-        target = cf.chebyshev("T", n).substitute("x", half_x) * 2
-        if not corrected.coefficient(n) == target:
-            return _fail(check_id, bounds, {"n": n, "leg": "corrected"},
-                         corrected.coefficient(n), target)
-    target1 = cf.chebyshev("T", 1).substitute("x", half_x) * 2
-    if printed.coefficient(1) == target1:
-        return _fail(check_id, bounds,
-                     {"n": 1, "leg": "variant-unexpectedly-agrees"},
-                     printed.coefficient(1), target1)
-    return _ok(check_id, bounds)
+    yield ({"n": 1, "leg": "variant-unexpectedly-agrees"},
+           printed.coefficient(1), target(1), True)
 
 
-@_register_fn("gould_hopper_discrepancy", Bounds(n_max=4))
-def _gould_hopper_discrepancy(bounds: Bounds) -> CheckReport:
+@_register("gould_hopper_discrepancy", Bounds(n_max=4))
+def _gould_hopper_discrepancy(bounds: Bounds) -> Iterator[Comparison]:
     """A summation variant that omits the n! scale and caps the sum at
     floor(n/2) misses the generating function already at n = j = 2; the
     corrected closed form agrees.  Passes when both facts hold."""
-    check_id = "gould_hopper_discrepancy"
     for n, j in ((2, 2), (3, 3)):
+        oracle = gf.build(gf.GouldHopper(j), n).coefficient(n)
+        yield ({"n": n, "j": j, "leg": "corrected"},
+               cf.gould_hopper(n, j), oracle)
         variant = dot((MultiPoly.monomial({"x": n - j * s, "y": s}), 1,
                        Fraction(1, math.factorial(n - j * s)
                                 * math.factorial(s)))
                       for s in range(n // 2 + 1) if n - j * s >= 0)
-        oracle = gf.build(gf.GouldHopper(j), n).coefficient(n)
-        corrected = cf.gould_hopper(n, j)
-        if not corrected == oracle:
-            return _fail(check_id, bounds,
-                         {"n": n, "j": j, "leg": "corrected"},
-                         corrected, oracle)
-        if variant == oracle:
-            return _fail(check_id, bounds,
-                         {"n": n, "j": j,
-                          "leg": "variant-unexpectedly-agrees"},
-                         variant, oracle)
-    return _ok(check_id, bounds)
+        yield ({"n": n, "j": j, "leg": "variant-unexpectedly-agrees"},
+               variant, oracle, True)
 
 
-@_register_fn("dickson_relation_discrepancy", Bounds(n_max=8))
-def _dickson_relation_discrepancy(bounds: Bounds) -> CheckReport:
+@_register("dickson_relation_discrepancy", Bounds(n_max=8))
+def _dickson_relation_discrepancy(bounds: Bounds) -> Iterator[Comparison]:
     """Under the classical normalization the two-term bridge between
     the Dickson kinds needs coefficients (2, -1), not (1, -2): the
     printed variant fails at n = 1 while the corrected bridge holds on
     the whole sweep.  Passes when both facts hold."""
-    check_id = "dickson_relation_discrepancy"
     for alpha in bounds.a_values:
         alpha = Fraction(alpha)
         for n in range(bounds.n_max + 1):
             second_prev = (cf.dickson("E", n - 1, alpha) if n >= 1
                            else MultiPoly.zero())
             corrected = cf.dickson("E", n, alpha) * 2 - X * second_prev
-            if not cf.dickson("D", n, alpha) == corrected:
-                return _fail(check_id, bounds,
-                             {"n": n, "alpha": alpha, "leg": "corrected"},
-                             cf.dickson("D", n, alpha), corrected)
+            yield ({"n": n, "alpha": alpha, "leg": "corrected"},
+                   cf.dickson("D", n, alpha), corrected)
         variant1 = cf.dickson("E", 1, alpha) - (X * 2) * cf.dickson(
             "E", 0, alpha)
-        if cf.dickson("D", 1, alpha) == variant1:
-            return _fail(check_id, bounds,
-                         {"n": 1, "alpha": alpha,
-                          "leg": "variant-unexpectedly-agrees"},
-                         cf.dickson("D", 1, alpha), variant1)
-    return _ok(check_id, bounds)
+        yield ({"n": 1, "alpha": alpha, "leg": "variant-unexpectedly-agrees"},
+               cf.dickson("D", 1, alpha), variant1, True)
 
 
 # ======================================================================

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -223,23 +224,60 @@ def test_size_caps_refuse_at_once(capsys, monkeypatch):
             assert code == 0 and out.count("\n") == 2, (flag, value)
 
 
-def test_check_failure_exit_code(capsys, monkeypatch):
+_FAILING_JSON = """[
+  {
+    "id": "always_wrong",
+    "bounds": {
+      "n_max": 1,
+      "r_max": 1,
+      "z_values": [
+        1
+      ],
+      "a_values": [
+        "1"
+      ],
+      "b_values": [
+        "1/2"
+      ]
+    },
+    "passed": false,
+    "counterexample": {
+      "inputs": {
+        "n": 1
+      },
+      "lhs": "1",
+      "rhs": "2"
+    }
+  }
+]
+"""
+
+
+_FAILING_OUTPUTS = {
+    "text": "FAIL always_wrong at {'n': 1}: 1 != 2\npassed 0/1\n",
+    "csv": ('id,passed,counterexample\r\nalways_wrong,false,'
+            '"{""inputs"": {""n"": 1}, ""lhs"": ""1"", ""rhs"": ""2""}"\r\n'),
+    "json": _FAILING_JSON,
+}
+
+
+def test_check_failure_exit_code(capsys):
     from polygen import identities as ids
     from polygen.exact import MultiPoly
 
-    @ids._register("cli_wrong", ids.Bounds(n_max=1, r_max=1))
-    def cli_wrong(bounds):
-        yield {"n": 0}, MultiPoly.const(0), MultiPoly.const(1)
+    @ids._register("always_wrong", ids.Bounds(
+        n_max=1, r_max=1, z_values=(1,), a_values=(Fraction(1),),
+        b_values=(Fraction(1, 2),)))
+    def always_wrong(bounds):
+        yield {"n": 1}, MultiPoly.const(1), MultiPoly.const(2)
 
     try:
-        code, out, _ = run(capsys, "check", "--id", "cli_wrong")
-        assert code == 1
-        assert out.splitlines()[0].startswith("FAIL cli_wrong at ")
-        assert "0 != 1" in out.splitlines()[0] or "!=" in out.splitlines()[0]
-        assert out.splitlines()[-1] == "passed 0/1"
+        for fmt, expected in _FAILING_OUTPUTS.items():
+            assert run(capsys, "check", "--id", "always-wrong", "--format",
+                       fmt) == (1, expected, "")
     finally:
-        del ids.CHECKS["cli_wrong"]
-        del ids.DEFAULTS["cli_wrong"]
+        del ids.CHECKS["always_wrong"]
+        del ids.DEFAULTS["always_wrong"]
 
 
 def test_failing_check_json_matches_json_dumps(capsys):
@@ -275,6 +313,15 @@ def test_check_all_json_is_golden(capsys):
     # the catalog report must stay byte-identical across refactors
     golden = Path(__file__).parent / "data" / "check_all.json"
     code, out, err = run(capsys, "check", "--suite", "all", "--format", "json")
+    assert code == 0 and err == ""
+    assert out.encode() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("fmt, name", [("text", "check_all.txt"),
+                                       ("csv", "check_all.csv")])
+def test_check_all_text_and_csv_are_golden(capsys, fmt, name):
+    golden = Path(__file__).parent / "data" / name
+    code, out, err = run(capsys, "check", "--suite", "all", "--format", fmt)
     assert code == 0 and err == ""
     assert out.encode() == golden.read_bytes()
 

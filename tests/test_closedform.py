@@ -241,3 +241,68 @@ def test_negative_n():
 def test_closed_forms_cache():
     assert cf.cs_poly("C", 5) is cf.cs_poly("C", 5)
     assert cf.kpoly("K", 4, 2) is cf.kpoly("K", 4, 2)
+
+
+_KIND = "unknown kind {!r}; expected "
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: cf.cs_poly("T", 1), UsageError, _KIND.format("T") + "'C' or 'S'"),
+    (lambda: cf.cs_r("c", 1, 1), UsageError, _KIND.format("c") + "'C' or 'S'"),
+    (lambda: cf.chebyshev("C", 2), UsageError,
+     _KIND.format("C") + "'T' or 'U'"),
+    (lambda: cf.dickson("T", 2, 1), UsageError,
+     _KIND.format("T") + "'D' or 'E'"),
+    (lambda: cf.kpoly("k3", 2, 1), UsageError,
+     "unknown part 'k3'; expected 'k1', 'k2' or 'K'"),
+    (lambda: cf.apostol("C", 2, 1, 1), UsageError,
+     _KIND.format("C") + "'B' or 'E'"),
+    (lambda: cf.kernel_power_numbers(1, "Bernoulli", 1, 0, 2), UsageError,
+     "unknown kernel kind 'Bernoulli'; expected 'bernoulli' or 'euler'"),
+    (lambda: cf.parametric_apostol("BT", 2, 1, 1), UsageError,
+     _KIND.format("BT") + "'BC', 'BS', 'EC' or 'ES'"),
+    (lambda: cf.hpoly("h3", 2, 1, 1, "bernoulli", 1, 0), UsageError,
+     _KIND.format("h3") + "'h', 'h1' or 'h2'"),
+    (lambda: cf.hpoly("h", 2, 1, 1, "gauss", 1, 0), UsageError,
+     "unknown kernel kind 'gauss'; expected 'bernoulli' or 'euler'"),
+    (lambda: cf.frak_h(3, 2, 1, 1, "bernoulli", 1, 0), UsageError,
+     "unknown kind 3; expected 1 or 2"),
+    (lambda: cf.frak_h("1", 2, 1, 1, "bernoulli", 1, 0), UsageError,
+     "unknown kind '1'; expected 1 or 2"),
+    (lambda: cf.frak_h(1, 2, 1, 1, "gauss", 1, 0), UsageError,
+     "unknown kernel kind 'gauss'; expected 'bernoulli' or 'euler'"),
+    (lambda: cf.ppoly("P5", 2, 1), UsageError,
+     _KIND.format("P5") + "'P1', 'P2', 'P3' or 'P4'"),
+    # the index and order arguments are checked before the kind
+    (lambda: cf.cs_poly("T", -1), RangeError,
+     "degree index must be a non-negative integer, got -1"),
+    (lambda: cf.chebyshev("C", -1), RangeError,
+     "degree index must be a non-negative integer, got -1"),
+    (lambda: cf.kpoly("k3", 2, 0), RangeError,
+     "order parameter r must lie in 1..8, got 0"),
+    (lambda: cf.cs_r("c", 1, 9), RangeError,
+     "order parameter r must lie in 1..8, got 9"),
+    (lambda: cf.hpoly("h3", -1, 1, 1, "gauss", 1, 0), RangeError,
+     "degree index must be a non-negative integer, got -1"),
+    (lambda: cf.frak_h(3, 2, 1, 0, "gauss", 1, 0), RangeError,
+     "order parameter r must lie in 1..8, got 0"),
+    (lambda: cf.kernel_power_numbers(1, "gauss", 1, 0, -1), RangeError,
+     "degree index must be a non-negative integer, got -1"),
+    (lambda: cf.apostol("C", 2, "1", 1), UsageError,
+     "order k must be an integer, got '1'"),
+    # ... and the kind before the kernel kind
+    (lambda: cf.hpoly("h3", 2, 1, 1, "gauss", 1, 0), UsageError,
+     _KIND.format("h3") + "'h', 'h1' or 'h2'"),
+    (lambda: cf.frak_h(3, 2, 1, 1, "gauss", 1, 0), UsageError,
+     "unknown kind 3; expected 1 or 2"),
+    # the Dickson parameter and the Apostol kernel parameter are read
+    # before the kind
+    (lambda: cf.dickson("T", 2, "x"), ValueError,
+     "Invalid literal for Fraction: 'x'"),
+    (lambda: cf.parametric_apostol("BT", 2, 1, "x"), ValueError,
+     "Invalid literal for Fraction: 'x'"),
+])
+def test_bad_kind_messages(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert str(raised.value) == message

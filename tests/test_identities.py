@@ -10,7 +10,7 @@ from polygen import closedform as cf
 from polygen import genfun as gf
 from polygen import identities as ids
 from polygen.errors import UsageError
-from polygen.exact import MultiPoly
+from polygen.exact import MultiPoly, X
 
 
 def test_registry_is_complete():
@@ -179,3 +179,35 @@ def test_discrepancy_checks(check_id):
     # these pass exactly when the pinned disagreement is still present
     report = ids.run_check(check_id)
     assert report.passed, report.counterexample
+
+
+def _dickson_bridge(first: int, second: int):
+    """first * E_1 - second * x * E_0 at alpha = 1: the classical
+    bridge to D_1 for (2, 1), the printed variant for (1, 2)."""
+    return cf.dickson("E", 1, 1) * first - X * cf.dickson("E", 0, 1) * second
+
+
+@pytest.mark.parametrize("corrected, variant, leg", [
+    # the variant row carries the corrected bridge, so its sides agree
+    ((2, 1), (2, 1), "variant-unexpectedly-agrees"),
+    # the corrected row carries the printed variant, so its sides differ
+    ((1, 2), (1, 2), "corrected"),
+    # both rows as in the catalog: the pin holds
+    ((2, 1), (1, 2), None),
+])
+def test_pinned_rows_on_the_shared_runner(corrected, variant, leg):
+    d1 = cf.dickson("D", 1, 1)
+
+    def register():
+        @ids._register("pin", ids.Bounds(n_max=1))
+        def pin(bounds):
+            yield {"n": 1, "leg": "corrected"}, d1, _dickson_bridge(*corrected)
+            yield ({"n": 1, "leg": "variant-unexpectedly-agrees"},
+                   d1, _dickson_bridge(*variant), True)
+
+    [report] = _mismatched_reports(register, ["pin"])
+    assert report.passed == (leg is None)
+    if leg is not None:
+        ce = report.counterexample
+        assert ce["inputs"]["leg"] == leg
+        assert (ce["lhs"] == ce["rhs"]) == (leg != "corrected")

@@ -23,6 +23,17 @@ MUTATIONS = [
     # i*i = +1: the sign of the a.im*b.im part of exact.dot
     ("exact.py", "(re, a_im, b_im, -p)", "(re, a_im, b_im, p)",
      ("lemma1", "k-decomposition", "n-hypergeom-0f1")),
+    # the printed numerator 1 - 2xt of the first-kind Dickson series
+    ("genfun.py", "{0: 2, 1: -X}", "{0: 1, 1: X * -2}",
+     ("dickson-gf-discrepancy",)),
+    # the Gould-Hopper closed form without its n! scale
+    ("closedform.py",
+     "Fraction(math.factorial(n),\n" + " " * 25 + "math.factorial(n - j * s)",
+     "Fraction(1,\n" + " " * 25 + "math.factorial(n - j * s)",
+     ("gould-hopper-discrepancy",)),
+    # the first-kind Dickson start value D_0 = 1 in place of 2
+    ("closedform.py", "(MultiPoly.const(2), _ONE)",
+     "(MultiPoly.const(1), _ONE)", ("dickson-relation-discrepancy",)),
 ]
 
 
