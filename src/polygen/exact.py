@@ -13,10 +13,8 @@ denominator ``den > 0``, always in lowest terms
 works on ints and ends with one ``math.gcd`` normalisation, so equal
 polynomials have equal representations.  A whole sum of products is one
 operation, :func:`dot`: every product goes into one int dict over the
-lcm of all denominators, normalised once at the end.  It is also the one
-place where complex values are multiplied: a polynomial product with a
-:class:`CPoly` factor is a one-term ``dot`` sum.  Adding two packed keys
-multiplies the underlying monomials.  ``MultiPoly.terms`` gives the
+lcm of all denominators, normalised once at the end.  Adding two packed
+keys multiplies the underlying monomials.  ``MultiPoly.terms`` gives the
 coefficients as ``Fraction`` values, for reading only.
 
 The symbol ``s`` plays a special role: it is an adjoined square root
@@ -28,9 +26,12 @@ in one operation, and in the reduced ring partial derivatives with
 respect to ``x`` or ``s`` are refused (the representation cannot
 express them).
 
-:class:`CPoly` packages a real and an imaginary :class:`MultiPoly` as
-one Gaussian-rational value, giving exact arithmetic for expressions
-in ``w = x + i*y``.
+The imaginary unit is adjoined the same way, as Q(i) = Q[i]/(i**2 + 1):
+a term whose key has the bit ``_I``, one field above the alphabet,
+carries a factor i, and the i**2 that a product leaves is rewritten to
+-1 where ``s**2`` is.  :class:`CPoly` is the :class:`MultiPoly` whose
+terms may carry i, giving exact arithmetic for expressions in
+``w = x + i*y``; every operation with a CPoly operand returns a CPoly.
 """
 
 from __future__ import annotations
@@ -63,6 +64,10 @@ _BITS = 16
 _MASK = (1 << _BITS) - 1
 _MAX_EXP = (1 << (_BITS - 1)) - 1
 _GUARD = sum(1 << (_BITS * i + _BITS - 1) for i in range(len(VARS)))
+# The bit of a factor i, one field above the alphabet, and the bit of
+# the i^2 that a product of two i-terms leaves.
+_I = 1 << (_BITS * len(VARS))
+_I2 = _I << 1
 
 Scalar = Union[int, Fraction]
 
@@ -125,6 +130,8 @@ class MultiPoly:
     def __init__(self, terms: Mapping[int, Scalar] | None = None,
                  reduced_s: bool = False):
         pairs = [(key, _ratio(coef)) for key, coef in (terms or {}).items()]
+        if any(not 0 <= key < _I for key, _ in pairs):
+            raise UsageError("term keys must be packed exponents of VARS")
         den = math.lcm(*(q for _, (_, q) in pairs))
         made = _normal({key: p * (den // q) for key, (p, q) in pairs if p},
                        den, reduced_s, True)
@@ -185,11 +192,12 @@ class MultiPoly:
                 return NotImplemented
             other = MultiPoly.const(other, self.reduced_s)
         self._check_compatible(other)
+        cls = _kind(self, other)
         a, da, b, db = self.num, self.den, other.num, other.den
         if not b:
-            return self
+            return self._as(cls)
         if not a:
-            return other
+            return other._as(cls)
         if len(b) > len(a):
             a, da, b, db = b, db, a, da
         # both over lcm(da, db); a side whose den is already that keeps
@@ -202,13 +210,13 @@ class MultiPoly:
         get = out.get
         for k, v in b.items():
             out[k] = get(k, 0) + v
-        return _normal(out, da * ma, self.reduced_s)
+        return _normal(out, da * ma, self.reduced_s, False, cls)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
         return _raw({k: -v for k, v in self.num.items()}, self.den,
-                    self.reduced_s)
+                    self.reduced_s, type(self))
 
     def __sub__(self, other: object) -> "MultiPoly":
         if not isinstance(other, MultiPoly):
@@ -220,33 +228,32 @@ class MultiPoly:
     def __rsub__(self, other: object) -> "MultiPoly":
         return self.__neg__().__add__(other)
 
-    def __mul__(self, other: object) -> "MultiPoly | CPoly":
-        if isinstance(other, CPoly):
-            return dot(((self, other, 1),))
+    def __mul__(self, other: object) -> "MultiPoly":
         if not isinstance(other, MultiPoly):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             return self._scaled(*_ratio(other))
         self._check_compatible(other)
-        return _fold([(self, other, 1, self.den * other.den)], self.reduced_s)
+        return _fold([(self, other, 1, self.den * other.den)], self.reduced_s,
+                     _kind(self, other))
 
     def _scaled(self, p: int, q: int) -> "MultiPoly":
         """self * p/q for ints p and q > 0."""
         if p == q:
             return self
         if not p:
-            return MultiPoly.zero(self.reduced_s)
+            return _raw({}, 1, self.reduced_s, type(self))
         num = self.num
         if p != 1:
             num = {k: v * p for k, v in num.items()}
-        return _normal(num, self.den * q, self.reduced_s)
+        return _normal(num, self.den * q, self.reduced_s, False, type(self))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "MultiPoly":
         if not isinstance(n, int) or n < 0:
             raise UsageError("polynomial powers must be non-negative integers")
-        result = MultiPoly.const(1, self.reduced_s)
+        result = _raw({0: 1}, 1, self.reduced_s, type(self))
         base = self
         while n:
             if n & 1:
@@ -258,8 +265,6 @@ class MultiPoly:
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultiPoly):
-            if isinstance(other, CPoly):
-                return other.__eq__(self)
             if isinstance(other, bool) or not isinstance(
                     other, (int, Fraction)):
                 return NotImplemented
@@ -314,7 +319,7 @@ class MultiPoly:
             e = (key >> shift) & _MASK
             if e:
                 out[key - step] = v * e
-        return _normal(out, self.den, self.reduced_s)
+        return _normal(out, self.den, self.reduced_s, False, type(self))
 
     def substitute(self, var: str,
                    replacement: "MultiPoly | Scalar") -> "MultiPoly":
@@ -337,7 +342,8 @@ class MultiPoly:
                 e = (key >> shift) & _MASK
                 k = key - e * step
                 out[k] = get(k, 0) + v * weight[e]
-            return _normal(out, self.den * q ** top, self.reduced_s)
+            return _normal(out, self.den * q ** top, self.reduced_s, False,
+                           type(self))
         if not isinstance(replacement, MultiPoly):
             raise UsageError("replacement must be a polynomial or rational")
         self._check_compatible(replacement)
@@ -352,7 +358,7 @@ class MultiPoly:
         return _fold([(_raw(c, 1, self.reduced_s), power, 1,
                        self.den * power.den)
                       for c, power in zip(coefs, powers) if c and power],
-                     self.reduced_s)
+                     self.reduced_s, _kind(self, replacement))
 
     def eval(self, assignment: Mapping[str, Scalar]) -> Fraction:
         """Evaluate at an exact rational point.
@@ -367,6 +373,9 @@ class MultiPoly:
             values[_VIDX[name]] = Fraction(*_ratio(val))
         total: Scalar = 0
         for key, term in self.num.items():
+            if key & _I:
+                raise UsageError("a complex polynomial has no rational "
+                                 "value; evaluate its re and im parts")
             for i, e in enumerate(_unpack(key)):
                 if not e:
                     continue
@@ -384,13 +393,7 @@ class MultiPoly:
         """Image in the quotient ring with s^2 rewritten to 1 - x^2."""
         if self.reduced_s:
             return self
-        return _normal(self.num, self.den, True, True)
-
-    def forget_s_reduction(self) -> "MultiPoly":
-        """Same terms, viewed again as an unreduced polynomial."""
-        if not self.reduced_s:
-            return self
-        return _raw(self.num, self.den, False)
+        return _normal(self.num, self.den, True, True, type(self))
 
     def s_cofactor(self) -> "MultiPoly":
         """The exact quotient q with self = s*q.
@@ -405,7 +408,7 @@ class MultiPoly:
             if _exp_of(key, _S_IDX) != 1:
                 raise UsageError("polynomial is not an exact s-multiple")
             out[key - step] = v
-        return _raw(out, self.den, self.reduced_s)
+        return _raw(out, self.den, self.reduced_s, type(self))
 
     # ------------------------------------------------------------------
     # rendering and serialization
@@ -431,14 +434,26 @@ class MultiPoly:
     def to_json_dict(self) -> dict:
         return json.loads("".join(json_chunks(self)))
 
+    def _as(self, cls: type) -> "MultiPoly":
+        """self as a value of ``cls``, sharing its terms."""
+        if type(self) is cls:
+            return self
+        return _raw(self.num, self.den, self.reduced_s, cls)
+
+
+def _kind(a: MultiPoly, b: object) -> type:
+    """The type of a result with operands a and b: CPoly when one is."""
+    return CPoly if isinstance(b, CPoly) else type(a)
+
 
 def _pack_one(name: str, e: int) -> int:
     return e << (_BITS * _VIDX[name])
 
 
-def _raw(num: dict[int, int], den: int, reduced_s: bool) -> MultiPoly:
+def _raw(num: dict[int, int], den: int, reduced_s: bool,
+         cls: type = MultiPoly) -> MultiPoly:
     """Internal fast constructor for a representation already canonical."""
-    p = MultiPoly.__new__(MultiPoly)
+    p = object.__new__(cls)
     p.num = num
     p.den = den
     p.reduced_s = reduced_s
@@ -446,18 +461,24 @@ def _raw(num: dict[int, int], den: int, reduced_s: bool) -> MultiPoly:
 
 
 def _normal(num: dict[int, int], den: int, reduced_s: bool,
-            raised: bool = False) -> MultiPoly:
-    """The polynomial num/den in canonical form.
+            raised: bool = False, cls: type = MultiPoly) -> MultiPoly:
+    """The polynomial num/den, a value of ``cls``, in canonical form.
 
     ``num`` may hold zero numerators and share a factor with ``den``.
     When ``raised`` (the operation can raise exponents), the OR of the
-    keys is tested once: its s bits say whether a reduced result needs
-    the rewrite, and its guard bits refuse an exponent above _MAX_EXP.
-    Then zeros are dropped and one gcd brings num/den to lowest terms.
-    ``num`` itself is never mutated.
+    keys is tested once: its i^2 bit says whether a product left terms
+    to rewrite by i^2 = -1, its s bits whether a reduced result needs
+    the rewrite s^2 = 1 - x^2, and its guard bits refuse an exponent
+    above _MAX_EXP.  Then zeros are dropped and one gcd brings num/den
+    to lowest terms.  ``num`` is never mutated, except that i^2 terms,
+    which only a product's own new dict holds, are folded into it.
     """
     if raised and num:
         used = reduce(or_, num)
+        if used & _I2:
+            get = num.get
+            for k in [k for k in num if k & _I2]:
+                num[k ^ _I2] = get(k ^ _I2, 0) - num.pop(k)
         if reduced_s and used & _S_HIGH:
             num = _reduce_terms(num)
             used |= reduce(or_, num, 0)
@@ -474,7 +495,7 @@ def _normal(num: dict[int, int], den: int, reduced_s: bool,
             if g != 1:
                 num = {k: v // g for k, v in num.items()}
                 den //= g
-    return _raw(num, den, reduced_s)
+    return _raw(num, den, reduced_s, cls)
 
 
 def _reduce_terms(num: dict[int, int]) -> dict[int, int]:
@@ -551,163 +572,95 @@ def _term_string(names: tuple[str, ...], exps: list[int], mag: str) -> str:
 # Gaussian-rational polynomials
 
 
-class CPoly:
-    """A complex polynomial value: real and imaginary :class:`MultiPoly`.
+class CPoly(MultiPoly):
+    """A :class:`MultiPoly` whose terms may carry i (the key bit ``_I``),
+    built from and read back as its parts ``re`` and ``im``, which share
+    one s-reduction flag; all else is MultiPoly's."""
 
-    Both parts must agree on the s-reduction flag.  Arithmetic follows
-    the usual complex rules; conjugation negates the imaginary part.
-    """
-
-    __slots__ = ("re", "im")
+    __slots__ = ()
 
     def __init__(self, re: MultiPoly, im: MultiPoly):
-        if not isinstance(re, MultiPoly) or not isinstance(im, MultiPoly):
+        if type(re) is not MultiPoly or type(im) is not MultiPoly:
             raise UsageError("CPoly parts must be MultiPoly values")
         if re.reduced_s != im.reduced_s:
             raise UsageError("CPoly parts must share the s-reduction flag")
-        self.re = re
-        self.im = im
-
-    # ------------------------------------------------------------------
+        # over lcm(re.den, im.den) the merged numerators stay in lowest
+        # terms, since each part is
+        self.den = math.lcm(re.den, im.den)
+        mr, mi = self.den // re.den, self.den // im.den
+        self.num = {k: v * mr for k, v in re.num.items()}
+        self.num.update((k | _I, v * mi) for k, v in im.num.items())
+        self.reduced_s = re.reduced_s
 
     @staticmethod
-    def real(p: "CPoly | MultiPoly | Scalar",
-             reduced_s: bool = False) -> "CPoly":
+    def real(p: "MultiPoly | Scalar", reduced_s: bool = False) -> "CPoly":
         """``p`` as a CPoly: a CPoly unchanged, else ``p`` with imaginary
         part zero; ``reduced_s`` is the flag of a scalar ``p``."""
-        if isinstance(p, CPoly):
-            return p
         if not isinstance(p, MultiPoly):
             p = MultiPoly.const(p, reduced_s)
-        return CPoly(p, MultiPoly.zero(p.reduced_s))
+        return p._as(CPoly)
 
     @staticmethod
     def zero(reduced_s: bool = False) -> "CPoly":
-        return CPoly(MultiPoly.zero(reduced_s), MultiPoly.zero(reduced_s))
-
-    @property
-    def reduced_s(self) -> bool:
-        return self.re.reduced_s
-
-    def is_real(self) -> bool:
-        return self.im.is_zero()
-
-    def is_zero(self) -> bool:
-        return self.re.is_zero() and self.im.is_zero()
+        return _raw({}, 1, reduced_s, CPoly)
 
     def conj(self) -> "CPoly":
-        return CPoly(self.re, -self.im)
+        return _raw({k: -v if k & _I else v for k, v in self.num.items()},
+                    self.den, self.reduced_s, CPoly)
 
-    # ------------------------------------------------------------------
+    def _part(self, i: int) -> MultiPoly:
+        """The terms whose i bit is ``i``, without it, in lowest terms."""
+        if not self.num or max(self.num) < _I:  # no term carries i
+            return _raw({} if i else self.num, 1 if i else self.den,
+                        self.reduced_s)
+        return _normal({k ^ i: v for k, v in self.num.items()
+                        if k & _I == i}, self.den, self.reduced_s)
 
-    def __add__(self, other: object) -> "CPoly":
-        if not isinstance(other, _EXACT):
-            return NotImplemented
-        rhs = CPoly.real(other, self.reduced_s)
-        return CPoly(self.re + rhs.re, self.im + rhs.im)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "CPoly":
-        return CPoly(-self.re, -self.im)
-
-    def __sub__(self, other: object) -> "CPoly":
-        if not isinstance(other, _EXACT):
-            return NotImplemented
-        rhs = CPoly.real(other, self.reduced_s)
-        return CPoly(self.re - rhs.re, self.im - rhs.im)
-
-    def __rsub__(self, other: object) -> "CPoly":
-        return self.__neg__().__add__(other)
-
-    def __mul__(self, other: object) -> "CPoly":
-        if isinstance(other, (int, Fraction)):
-            return CPoly(self.re * other, self.im * other)
-        if not isinstance(other, (MultiPoly, CPoly)):
-            return NotImplemented
-        return dot(((self, other, 1),))
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, bool) or not isinstance(other, _EXACT):
-            return NotImplemented
-        other = CPoly.real(other, self.reduced_s)
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self) -> int:
-        # A value with no imaginary part equals its real part.
-        if self.im.is_zero():
-            return hash(self.re)
-        return hash((self.re, self.im))
-
-    # ------------------------------------------------------------------
-
-    def substitute(self, var: str, replacement: MultiPoly | Scalar) -> "CPoly":
-        return CPoly(self.re.substitute(var, replacement),
-                     self.im.substitute(var, replacement))
-
-    def reduce_s(self) -> "CPoly":
-        return CPoly(self.re.reduce_s(), self.im.reduce_s())
+    re = property(lambda self: self._part(0), doc="The real part.")
+    im = property(lambda self: self._part(_I), doc="The imaginary part.")
 
     def __str__(self) -> str:
-        if self.im.is_zero():
-            return str(self.re)
-        return f"({self.re}) + i*({self.im})"
+        im = self.im
+        return f"({self.re}) + i*({im})" if im.num else str(self.re)
 
     def __repr__(self) -> str:
         return f"CPoly({self})"
-
-    def to_json_dict(self) -> dict:
-        return json.loads("".join(json_chunks(self)))
-
-
-#: What a CPoly adds to, subtracts from and compares with.
-_EXACT = (CPoly, MultiPoly, int, Fraction)
 
 
 # ----------------------------------------------------------------------
 # Sums of products
 
 
-def dot(triples: Iterable[tuple], zero: object = None) -> MultiPoly | CPoly:
+def dot(triples: Iterable[tuple], zero: MultiPoly | None = None
+        ) -> MultiPoly:
     """sum c*a*b over (a, b, c): a a MultiPoly or CPoly, b one too or an
-    exact scalar, c an exact scalar.  A CPoly factor splits into real
-    products by i*i = -1, the one place that rule is written, and every
-    product goes straight into one int dict over the lcm of all
-    denominators, normalised once.  The result is a CPoly when a factor
-    or ``zero`` is; the empty sum is ``zero`` or 0.  As for ``+`` and
-    ``*``, all polynomials and ``zero`` share one flag."""
+    exact scalar, c an exact scalar.  Every product goes straight into
+    one int dict over the lcm of all denominators, normalised once.  The
+    result is a CPoly when a factor or ``zero`` is; the empty sum is
+    ``zero`` or 0.  As for ``+`` and ``*``, all polynomials and ``zero``
+    share one flag."""
     flags = set() if zero is None else {zero.reduced_s}
-    cplx = isinstance(zero, CPoly)
-    re: list = []
-    im: list = []
+    cls = MultiPoly if zero is None else type(zero)
+    parts: list = []
     for a, b, c in triples:
         p, q = _ratio(c)
         flags.add(a.reduced_s)
-        if isinstance(b, (MultiPoly, CPoly)):
+        if isinstance(b, MultiPoly):
             flags.add(b.reduced_s)
         else:
             bp, bq = _ratio(b)
             p, q, b = p * bp, q * bq, ONE
-        if type(a) is MultiPoly is type(b):
-            parts: tuple = ((re, a, b, p),)
-        else:
-            cplx = True
-            a_re, a_im = (a.re, a.im) if type(a) is CPoly else (a, _ZERO)
-            b_re, b_im = (b.re, b.im) if type(b) is CPoly else (b, _ZERO)
-            parts = ((re, a_re, b_re, p), (re, a_im, b_im, -p),
-                     (im, a_im, b_re, p), (im, a_re, b_im, p))
-        for out, x, y, w in parts:
-            if w and x.num and y.num:
-                out.append((x, y, w, q * x.den * y.den))
+        if type(a) is CPoly or type(b) is CPoly:
+            cls = CPoly
+        if p and a.num and b.num:
+            parts.append((a, b, p, q * a.den * b.den))
     if len(flags) > 1:
         raise UsageError(_MIXED)
-    real = _fold(re, bool(flags) and flags.pop())
-    return CPoly(real, _fold(im, real.reduced_s)) if cplx else real
+    return _fold(parts, bool(flags) and flags.pop(), cls)
 
 
-def _fold(parts: list[tuple], reduced_s: bool) -> MultiPoly:
+def _fold(parts: list[tuple], reduced_s: bool,
+          cls: type = MultiPoly) -> MultiPoly:
     """sum p/q*x*y over (x, y, p, q), q the product of p's denominator
     and those of x and y.  A constant factor only scales the other one,
     whose key objects the sum keeps, and its numerators too when that
@@ -738,7 +691,7 @@ def _fold(parts: list[tuple], reduced_s: bool) -> MultiPoly:
         else:
             for k, v in x.num.items():
                 out[k] = get(k, 0) + w * v
-    return _normal(out, den, reduced_s, raised)
+    return _normal(out, den, reduced_s, raised, cls)
 
 
 # ----------------------------------------------------------------------
@@ -759,10 +712,10 @@ def json_chunks(value: object, pad: str = "") -> Iterator[str]:
     are taken and written one at a time, so a generator of coefficients
     is never held whole.
     """
-    if isinstance(value, MultiPoly):
-        yield _poly_json(value, pad)
-    elif isinstance(value, CPoly):
+    if isinstance(value, CPoly):
         yield from json_chunks({"re": value.re, "im": value.im}, pad)
+    elif isinstance(value, MultiPoly):
+        yield _poly_json(value, pad)
     elif value is None or isinstance(value, (str, int)):
         yield json.dumps(value)
     else:
@@ -806,7 +759,6 @@ def _json_array(texts: Iterable[str], pad: str) -> str:
 # ----------------------------------------------------------------------
 # Ready-made symbols
 
-_ZERO = MultiPoly.zero()
 X = MultiPoly.variable("x")
 Y = MultiPoly.variable("y")
 S = MultiPoly.variable("s")

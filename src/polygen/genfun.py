@@ -440,7 +440,7 @@ def pfq(uppers: tuple, lowers: tuple, arg_scale: object, arg_power: int,
         raise UsageError("truncation order must be non-negative")
 
     if isinstance(arg_scale, bool) or not isinstance(
-            arg_scale, (int, Fraction, MultiPoly, CPoly)):
+            arg_scale, (int, Fraction, MultiPoly)):
         raise UsageError("argument scale must be an exact polynomial or "
                          "rational")
 

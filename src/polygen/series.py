@@ -31,13 +31,11 @@ import math
 import os
 from fractions import Fraction
 from operator import attrgetter
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence
 
 from .errors import (ZERO_CONSTANT_TERM, DomainError, RangeError,
                      SingularityError, UsageError)
 from .exact import CPoly, MultiPoly, dot, json_chunks
-
-Coef = Union[MultiPoly, CPoly]
 
 CONVENTIONS = ("egf", "ogf")
 
@@ -72,8 +70,8 @@ def default_order() -> int:
     return order
 
 
-def _lift(value: object) -> Coef:
-    if isinstance(value, (MultiPoly, CPoly)):
+def _lift(value: object) -> MultiPoly:
+    if isinstance(value, MultiPoly):
         return value
     if isinstance(value, (int, Fraction)):
         return MultiPoly.const(value)
@@ -105,12 +103,12 @@ class TruncSeries:
     # ------------------------------------------------------------------
     # accessors
 
-    def raw(self, n: int) -> Coef:
+    def raw(self, n: int) -> MultiPoly:
         """The plain t^n coefficient c_n, ignoring the convention tag."""
         self._check_index(n)
         return self.coeffs[n]
 
-    def coefficient(self, n: int) -> Coef:
+    def coefficient(self, n: int) -> MultiPoly:
         """The convention-scaled coefficient: n!*c_n for egf, c_n for ogf."""
         self._check_index(n)
         if self.convention == "egf":
@@ -128,7 +126,7 @@ class TruncSeries:
             return self
         return TruncSeries(self.coeffs, self.order, convention)
 
-    def map_coeffs(self, fn: Callable[[Coef], object]) -> "TruncSeries":
+    def map_coeffs(self, fn: Callable[[MultiPoly], object]) -> "TruncSeries":
         """A new series with ``fn`` applied to every raw coefficient."""
         return TruncSeries([fn(c) for c in self.coeffs], self.order,
                            self.convention)
@@ -165,7 +163,7 @@ class TruncSeries:
         return self.map_coeffs(lambda c: -c)
 
     def __mul__(self, other: object) -> "TruncSeries":
-        if isinstance(other, (int, Fraction, MultiPoly, CPoly)):
+        if isinstance(other, (int, Fraction, MultiPoly)):
             factor = other
             return self.map_coeffs(lambda c: c * factor)
         if not isinstance(other, TruncSeries):
@@ -235,7 +233,7 @@ def from_t_poly(powers: Mapping[int, object], order: int,
 # compositional operations
 
 
-def _seed(f: TruncSeries, value: object = 1) -> Coef:
+def _seed(f: TruncSeries, value: object = 1) -> MultiPoly:
     """The constant ``value`` as the seed of a series computed from f.
 
     It is a CPoly when any coefficient of f is one, and each result
@@ -248,7 +246,7 @@ def _seed(f: TruncSeries, value: object = 1) -> Coef:
     return one
 
 
-def _solve(f: TruncSeries, g0: Coef,
+def _solve(f: TruncSeries, g0: MultiPoly,
            weight: Callable[[int, int], Fraction]) -> TruncSeries:
     """The series g with g_0 = g0 and, for m >= 1,
     g_m = sum_{k=1..m} weight(k, m)*f_k*g_{m-k}."""
@@ -287,8 +285,7 @@ def invert(f: TruncSeries) -> TruncSeries:
     The constant term must be a nonzero plain rational; anything else
     (zero, or a genuinely polynomial constant term) is a singularity.
     """
-    c0 = CPoly.real(f.raw(0))
-    value = c0.re.const_value() if c0.is_real() else None
+    value = f.raw(0).const_value()
     if value is None:
         raise SingularityError(
             "cannot invert a series whose constant term is not a rational")

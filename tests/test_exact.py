@@ -101,7 +101,6 @@ def test_reduced_flag_discipline():
         reduced + S
     with pytest.raises(UsageError):
         reduced * S
-    assert reduced.forget_s_reduction().reduced_s is False
     # constants compare by value whatever their flag; others by flag too
     two = MultiPoly.const(2)
     assert MultiPoly.const(2, True) == two and len({2, two}) == 1
@@ -156,8 +155,54 @@ def test_cpoly_ops():
         == W
     assert W.substitute("y", 0) == CPoly.real(X)
     assert (W + W.conj()) == CPoly.real(X * 2)
-    assert CPoly.real(X).is_real() and not W.is_real()
     assert CPoly.real(W) is W
+    assert (X * X).substitute("x", W) == W * W
+
+
+def test_cpoly_operand_gives_cpoly():
+    # even when the value is real or zero, as the complex families'
+    # {"re", "im"} output at order 0 needs
+    zero = CPoly.zero()
+    for got in (X + zero, zero + X, X - zero, zero - X, X * zero, zero * X,
+                zero + 0, 0 - zero, zero * 2, zero ** 0, -zero, W * W_BAR,
+                W - W, X.substitute("x", W), W.substitute("y", 0),
+                dot([(X, 1, 1)], zero), W.partial("y")):
+        assert type(got) is CPoly, got
+
+
+def test_cpoly_refuses_bad_parts():
+    for re, im, message in ((W, X, "MultiPoly values"),
+                            (X, 1, "MultiPoly values"),
+                            (X, Y.reduce_s(), "s-reduction flag")):
+        with pytest.raises(UsageError, match=message):
+            CPoly(re, im)
+
+
+def test_keys_outside_the_alphabet_are_refused():
+    # the bit above the alphabet marks a factor i; a real polynomial
+    # must not carry it, nor a key that packs no exponent vector
+    for key in (-1, 1 << (16 * len(VARS)), 1 << (16 * len(VARS) + 1)):
+        with pytest.raises(UsageError):
+            MultiPoly({key: 1})
+    with pytest.raises(UsageError):
+        W.eval({"x": 1, "y": 2})
+    assert CPoly.real(X).eval({"x": 3}) == 3
+
+
+def test_i_and_s_rewrites_in_one_normalisation():
+    # (s + ix)(s - ix) = s^2 + x^2 = 1 in the reduced ring
+    product = CPoly(S, X).reduce_s() * CPoly(S, -X).reduce_s()
+    assert product == 1 and hash(product) == hash(1)
+    assert type(product) is CPoly and product.reduced_s
+
+
+def test_cpoly_parts_keep_their_own_lowest_terms():
+    z = CPoly(X * Fraction(1, 2), Y * Fraction(1, 3))
+    assert str(z) == "(1/2*x) + i*(1/3*y)"
+    data = z.to_json_dict()
+    assert [t["coef"] for t in data["re"]["terms"]] == ["1/2"]
+    assert [t["coef"] for t in data["im"]["terms"]] == ["1/3"]
+    assert data["re"]["vars"] == ["x"] and data["im"]["vars"] == ["y"]
 
 
 def test_json_round_trip():
@@ -334,6 +379,43 @@ def test_equal_values_hash_equal(first, second):
     assert len({first[0], first[1]}) == 1
 
 
+def _parts(value, reduced):
+    """The real and imaginary parts of a CPoly result, checked for type,
+    flag and canonical form, and for JSON naming only the alphabet."""
+    assert type(value) is CPoly and value.reduced_s is reduced
+    _assert_canonical(value)
+    data = value.to_json_dict()
+    assert set(data["re"]["vars"]) | set(data["im"]["vars"]) <= set(VARS)
+    return value.re, value.im
+
+
+@given(polys(), polys(), polys(), polys(), _names, _scalars, st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_cpoly_matches_reference_from_real_parts(a, b, c, d, var, k,
+                                                 reduced):
+    z = CPoly(a, b)
+    if reduced:
+        a, b, c, d = (p.reduce_s() for p in (a, b, c, d))
+        z = z.reduce_s()
+    assert _parts(z, reduced) == (a, b)
+    w = CPoly(c, d)
+    for got, expected in (
+            (z + w, (a + c, b + d)),
+            (z - w, (a - c, b - d)),
+            # (a + ib)(c + id) = (ac - bd) + i(ad + bc)
+            (z * w, (a * c - b * d, a * d + b * c)),
+            (z * c, (a * c, b * c)), (c * z, (a * c, b * c)),
+            (z + c, (a + c, b)), (c - z, (c - a, -b)),
+            (z * k, (a * k, b * k)), (k * z, (a * k, b * k)),
+            (z + k, (a + k, b)), (k - z, (k - a, -b)),
+            (z.conj(), (a, -b)), (-z, (-a, -b)),
+            (z.substitute(var, c),
+             (a.substitute(var, c), b.substitute(var, c))),
+            (z.substitute(var, k),
+             (a.substitute(var, k), b.substitute(var, k)))):
+        assert _parts(got, reduced) == expected
+
+
 def test_cpoly_times_poly_checks_reduced_flag():
     reduced = CPoly(X, Y).reduce_s()
     for z, p in ((reduced, S), (W, (S * S).reduce_s())):
@@ -497,8 +579,6 @@ def test_representation_is_canonical(p, q, c, var, n, reduced):
         (p.partial(var), _ref_partial(pt, var)),
         (p.substitute(var, c), _ref_substitute(pt, var, {0: c}, reduced)),
         (p.substitute(var, q), _ref_substitute(pt, var, qt, reduced)),
-        (p.forget_s_reduction(), pt),
-        (p.forget_s_reduction().reduce_s(), _ref_reduce(pt)),
         (p.reduce_s(), _ref_reduce(pt)),
     ]
     # an exact s-multiple: the s-free part of p times s

@@ -20,8 +20,9 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "polygen"
 
 #: (file, text, its replacement, checks that must fail)
 MUTATIONS = [
-    # i*i = +1: the sign of the a.im*b.im part of exact.dot
-    ("exact.py", "(re, a_im, b_im, -p)", "(re, a_im, b_im, p)",
+    # i*i = +1: the sign of the i^2 rewrite in exact._normal
+    ("exact.py", "get(k ^ _I2, 0) - num.pop(k)",
+     "get(k ^ _I2, 0) + num.pop(k)",
      ("lemma1", "k-decomposition", "n-hypergeom-0f1")),
     # the printed numerator 1 - 2xt of the first-kind Dickson series
     ("genfun.py", "{0: 2, 1: -X}", "{0: 1, 1: X * -2}",
@@ -34,6 +35,9 @@ MUTATIONS = [
     # the first-kind Dickson start value D_0 = 1 in place of 2
     ("closedform.py", "(MultiPoly.const(2), _ONE)",
      "(MultiPoly.const(1), _ONE)", ("dickson-relation-discrepancy",)),
+    # conjugation as the identity: CPoly.conj keeps the sign of i-terms
+    ("exact.py", "{k: -v if k & _I else v for", "{k: v for",
+     ("nk1", "nk2")),
 ]
 
 
