@@ -115,7 +115,6 @@ def dickson(kind: str, n: int, alpha: Rational) -> MultiPoly:
 # Hermite-type values
 
 
-@lru_cache(maxsize=None)
 def gould_hopper(n: int, j: int) -> MultiPoly:
     """Coefficient polynomial of e^(x*t + y*t^j), j >= 2:
     n! * sum_s x^(n-j*s) y^s / ((n-j*s)! s!)."""
@@ -337,7 +336,6 @@ def hpoly(kind: str, n: int, z: int, r: int, fkind: str,
         zero=CPoly.zero())
 
 
-@lru_cache(maxsize=None)
 def frak_h(kind: int, n: int, z: int, r: int, fkind: str,
            a: Rational, b: Rational) -> MultiPoly:
     """Kernel-weighted cosine (kind 1) or sine (kind 2) convolutions:
@@ -370,21 +368,15 @@ def ppoly(kind: str, n: int, r: int) -> MultiPoly:
     """
     _check_n(n)
     check_r(r)
-    if kind == "P1":
-        return _p12(n, r).re
-    if kind == "P2":
-        return _p12(n, r).im
-    if kind == "P3":
-        s = MultiPoly.variable("s")
-        return _p12(n, r).re.substitute("y", s).reduce_s()
-    if kind == "P4":
-        if n < 1:
-            raise RangeError("the sine-side projection needs n >= 1")
-        specialized = _p12(n, r).im.substitute(
-            "y", MultiPoly.variable("s")).reduce_s()
-        return specialized.s_cofactor()
-    raise UsageError(
-        f"unknown kind {kind!r}; expected 'P1', 'P2', 'P3' or 'P4'")
+    index = _choice(kind, ("P1", "P2", "P3", "P4"))
+    if index == 3 and n < 1:
+        raise RangeError("the sine-side projection needs n >= 1")
+    value = _p12(n, r)
+    part = value.im if index % 2 else value.re
+    if index < 2:
+        return part
+    specialized = part.substitute("y", MultiPoly.variable("s")).reduce_s()
+    return specialized if index == 2 else specialized.s_cofactor()
 
 
 # ----------------------------------------------------------------------

@@ -36,7 +36,6 @@ terms may carry i, giving exact arithmetic for expressions in
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from functools import reduce
@@ -432,6 +431,7 @@ class MultiPoly:
         return f"MultiPoly({self}{flag})"
 
     def to_json_dict(self) -> dict:
+        import json
         return json.loads("".join(json_chunks(self)))
 
     def _as(self, cls: type) -> "MultiPoly":
@@ -712,6 +712,7 @@ def json_chunks(value: object, pad: str = "") -> Iterator[str]:
     are taken and written one at a time, so a generator of coefficients
     is never held whole.
     """
+    import json  # here, so that text output never loads it
     if isinstance(value, CPoly):
         yield from json_chunks({"re": value.re, "im": value.im}, pad)
     elif isinstance(value, MultiPoly):
@@ -741,7 +742,8 @@ def _poly_json(p: MultiPoly, pad: str) -> str:
     terms = [f'{{\n{i3}"exp": {_json_array(map(str, exps), i3)},\n'
              f'{i3}"coef": "{_fraction_text(v, den)}"\n{i2}}}'
              for exps, v in rows]
-    names_json = _json_array(map(json.dumps, names), i1)
+    # the alphabet's names need no escaping
+    names_json = _json_array((f'"{name}"' for name in names), i1)
     text = (f'{{\n{i1}"vars": {names_json},\n'
             f'{i1}"terms": {_json_array(terms, i1)}')
     if p.reduced_s:

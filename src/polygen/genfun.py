@@ -22,8 +22,8 @@ The Bernoulli flavour at a = 1 is built through the removable
 singularity by inverting (e^t - 1)/t; the Euler flavour at a = -1 is
 a genuine pole and raises :class:`SingularityError`.
 
-All builders are cached: descriptors are hashable, arithmetic is
-exact, and series are immutable, so repeated builds across a
+:func:`build` is the one cache: descriptors are hashable, arithmetic
+is exact, and series are immutable, so repeated builds across a
 parameter sweep cost one construction each; builders reach nested
 families through the module-level :func:`build` and its cache.
 """
@@ -334,7 +334,6 @@ class R1(Record):
 # kernels
 
 
-@lru_cache(maxsize=None)
 def kernel_f(kind: str, a: Rational, order: int) -> TruncSeries:
     """The ``"bernoulli"`` or ``"euler"`` kernel series f(t, a) at the
     requested truncation order."""
@@ -373,20 +372,17 @@ _KERNELS = {"bernoulli": _bernoulli_kernel, "euler": _euler_kernel}
 
 
 # ----------------------------------------------------------------------
-# shared cached atoms
+# series atoms, built afresh for each build that reads them
 
 
-@lru_cache(maxsize=None)
 def _exp_xt(order: int) -> TruncSeries:
     return series.exp(series.from_t_poly({1: X}, order, "egf"))
 
 
-@lru_cache(maxsize=None)
 def _cos_sin_yt(order: int) -> tuple[TruncSeries, TruncSeries]:
     return series.cos_sin(series.from_t_poly({1: Y}, order, "egf"))
 
 
-@lru_cache(maxsize=None)
 def _exp_u(r: int, order: int, shift: object = 0) -> TruncSeries:
     """e^((shift+u1)*t + u2*t^2 + ... + ur*t^r)."""
     check_r(r)

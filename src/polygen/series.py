@@ -26,7 +26,6 @@ powers are repeated squaring.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from fractions import Fraction
@@ -202,6 +201,7 @@ class TruncSeries:
                 "coeffs": map(self.coefficient, range(self.order + 1))}
 
     def to_json_dict(self) -> dict:
+        import json
         return json.loads("".join(json_chunks(self.json_fields())))
 
 

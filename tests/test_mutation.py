@@ -38,6 +38,9 @@ MUTATIONS = [
     # conjugation as the identity: CPoly.conj keeps the sign of i-terms
     ("exact.py", "{k: -v if k & _I else v for", "{k: v for",
      ("nk1", "nk2")),
+    # frak_h, which keeps no cache, with its cosine and sine sides swapped
+    ("closedform.py", '"CS"[_choice(kind, (1, 2))]',
+     '"SC"[_choice(kind, (1, 2))]', ("thm-2-3", "thm-2-4")),
 ]
 
 
