@@ -318,7 +318,6 @@ _H_VARIANTS = {"h": lambda j, r: kpoly("K", j, r),
                "h2": lambda j, r: CPoly(_ZERO, kpoly("k2", j, r))}
 
 
-@lru_cache(maxsize=None)
 def hpoly(kind: str, n: int, z: int, r: int, fkind: str,
           a: Rational, b: Rational) -> CPoly:
     """Kernel-weighted complex kernel values.

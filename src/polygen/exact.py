@@ -242,6 +242,12 @@ class MultiPoly:
             return self
         if not p:
             return _raw({}, 1, self.reduced_s, type(self))
+        if q == 1:
+            # num/den is in lowest terms, so only gcd(den, p) can cancel
+            g = math.gcd(self.den, p)
+            p //= g
+            return _raw({k: v * p for k, v in self.num.items()},
+                        self.den // g, self.reduced_s, type(self))
         num = self.num
         if p != 1:
             num = {k: v * p for k, v in num.items()}
@@ -336,6 +342,11 @@ class MultiPoly:
             # den*q^top.  It can never raise an s-exponent, so an
             # s-reduced result stays reduced and needs no rewrite.
             p, q = _ratio(replacement)
+            if not p:
+                # only the terms free of var are left
+                return _normal({k: v for k, v in self.num.items()
+                                if not (k >> shift) & _MASK}, self.den,
+                               self.reduced_s, False, type(self))
             weight = [p ** e * q ** (top - e) for e in range(top + 1)]
             for key, v in self.num.items():
                 e = (key >> shift) & _MASK

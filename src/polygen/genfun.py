@@ -25,7 +25,8 @@ a genuine pole and raises :class:`SingularityError`.
 :func:`build` is the one cache: descriptors are hashable, arithmetic
 is exact, and series are immutable, so repeated builds across a
 parameter sweep cost one construction each; builders reach nested
-families through the module-level :func:`build` and its cache.
+families through the module-level :func:`build` and its cache.  The
+catalog empties it after every check.
 """
 
 from __future__ import annotations
@@ -52,16 +53,23 @@ class Record:
 
     A subclass's annotated class attributes are its fields, after those
     it inherits; an assigned value is the field's default, and a field
-    without one is required.  Instances compare equal only to instances
-    of the same class with equal values, and hash by those values.
+    without one is required.  A field annotated ``Rational`` refuses
+    anything but an int or a ``Fraction`` (a float, a bool, a complex,
+    a str) with :class:`UsageError`.  Instances compare equal only to
+    instances of the same class with equal values, and hash by those
+    values.
     """
 
     _fields: tuple[tuple[str, object], ...] = ()
+    #: the fields annotated ``Rational``
+    _rationals: tuple[str, ...] = ()
 
     def __init_subclass__(cls):
         own = vars(cls).get("__annotations__", {})
         cls._fields += tuple((name, vars(cls).get(name, _REQUIRED))
                              for name in own)
+        cls._rationals += tuple(name for name, kind in own.items()
+                                if kind == "Rational")
 
     def __init__(self, *args, **kwargs):
         kind = type(self).__name__
@@ -77,8 +85,14 @@ class Record:
         if kwargs:
             raise TypeError(f"{kind} got an unknown or repeated field "
                             f"{next(iter(kwargs))!r}")
-        names = [name for name, _ in self._fields]
-        vars(self).update(zip(names, values), _values=tuple(values))
+        fields = dict(zip((name for name, _ in self._fields), values))
+        for name in self._rationals:
+            value = fields[name]
+            if isinstance(value, bool) or not isinstance(
+                    value, (int, Fraction)):
+                raise UsageError(f"{kind} field {name!r} must be an exact "
+                                 f"rational, got {type(value).__name__}")
+        vars(self).update(fields, _values=tuple(values))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -398,7 +412,13 @@ def _exp_u(r: int, order: int, shift: object = 0) -> TruncSeries:
 
 @lru_cache(maxsize=None)
 def build(family: object, order: int) -> TruncSeries:
-    """The truncated generating series of ``family`` up to t**order."""
+    """The truncated generating series of ``family`` up to t**order.
+
+    Cached: a series built twice within one catalog check is built
+    once.  :func:`polygen.identities.run_check` empties the cache after
+    every check (through :data:`forget`), since later checks seldom read
+    what an earlier one built.
+    """
     if not isinstance(order, int) or order < 0:
         raise UsageError(f"truncation order must be a non-negative integer, "
                          f"got {order!r}")
@@ -406,6 +426,11 @@ def build(family: object, order: int) -> TruncSeries:
     if builder is None:
         raise UsageError(f"unknown family descriptor {family!r}")
     return builder(family, order)
+
+
+#: Empty :func:`build`'s cache; bound here, since a tracer may replace
+#: the module-level name with a plain wrapper.
+forget = build.cache_clear
 
 
 # ----------------------------------------------------------------------

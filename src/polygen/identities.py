@@ -755,13 +755,21 @@ def _validate_bounds(bounds: Bounds) -> None:
 
 
 def run_check(check_id: str, bounds: Bounds | None = None) -> CheckReport:
-    """Run one check; ``bounds = None`` uses its catalog defaults."""
+    """Run one check; ``bounds = None`` uses its catalog defaults.
+
+    The series the check builds live only as long as the check:
+    :func:`polygen.genfun.build`'s cache is emptied when it returns or
+    raises.  The ``closedform`` caches are kept for the process.
+    """
     if check_id not in CHECKS:
         raise UsageError(f"unknown check id {check_id!r}")
     if bounds is None:
         bounds = DEFAULTS[check_id]
     _validate_bounds(bounds)
-    return CHECKS[check_id](bounds)
+    try:
+        return CHECKS[check_id](bounds)
+    finally:
+        gf.forget()
 
 
 def run_suite(suite: str, n_max: int | None = None,

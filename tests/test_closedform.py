@@ -241,6 +241,8 @@ def test_negative_n():
 def test_closed_forms_cache():
     assert cf.cs_poly("C", 5) is cf.cs_poly("C", 5)
     assert cf.kpoly("K", 4, 2) is cf.kpoly("K", 4, 2)
+    # hpoly keeps no cache: within one check no value of it is read twice
+    assert not hasattr(cf.hpoly, "cache_info")
 
 
 _KIND = "unknown kind {!r}; expected "

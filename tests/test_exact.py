@@ -299,15 +299,21 @@ def test_json_dict_evaluates_like_eval(p, point, reduced):
     assert _eval_json(p.to_json_dict(), point) == p.eval(point)
 
 
-@given(polys(), _names, _scalars, _points, st.booleans())
+@given(polys(), polys(), _names, _scalars, _points, st.booleans())
 @settings(max_examples=80, deadline=None)
-def test_scalar_substitute_matches_eval(p, var, c, point, reduced):
+def test_scalar_substitute_matches_eval(p, q, var, c, point, reduced):
     if reduced:
-        p = p.reduce_s()
+        p, q = p.reduce_s(), q.reduce_s()
     got = p.substitute(var, c)
     assert got.reduced_s is reduced
     assert got == p.substitute(var, MultiPoly.const(c, reduced))
     assert got.eval(point) == p.eval({**point, var: c})
+    # a complex value, through the general path as well (c = 0 included)
+    z = CPoly(p, q)
+    got = z.substitute(var, c)
+    assert type(got) is CPoly and got.reduced_s is reduced
+    assert got == z.substitute(var, MultiPoly.const(c, reduced))
+    _assert_canonical(got)
 
 
 @given(polys(), polys(), polys())
@@ -589,6 +595,24 @@ def test_representation_is_canonical(p, q, c, var, n, reduced):
     for got, expected in cases:
         _assert_canonical(got)
         assert got.terms == expected
+
+
+_ints = st.one_of(st.integers(min_value=-10 ** 4, max_value=10 ** 4),
+                 st.sampled_from([math.factorial(n) for n in range(13)]))
+
+
+@given(polys(), polys(), _ints, st.booleans())
+@example(X * Fraction(1, 6) + Fraction(1, 4), Y * Fraction(5, 12), -24, True)
+@settings(max_examples=80, deadline=None)
+def test_int_scaling_matches_reference(p, q, k, reduced):
+    # a scalar int keeps the denominator but its gcd with k
+    if reduced:
+        p, q = p.reduce_s(), q.reduce_s()
+    for value in (p, CPoly(p, q)):
+        for got in (value * k, k * value, value * Fraction(k)):
+            assert type(got) is type(value) and got.reduced_s is reduced
+            _assert_canonical(got)
+            assert got.terms == _ref_scale(value.terms, k)
 
 
 # ----------------------------------------------------------------------

@@ -240,6 +240,21 @@ def test_record_fields_and_errors():
         gf.DicksonD(alpha=2, beta=3)
 
 
+def test_record_refuses_inexact_rationals():
+    # before build's cache can see it: 0.5 == 1/2 would hit the cached
+    # exact entry
+    gf.build(gf.DicksonD(HALF), 2)
+    for make in (lambda v: gf.DicksonD(v), lambda v: gf.M1(1, "euler", v),
+                 lambda v: gf.M2(b=v), lambda v: gf.ApostolEuler(1, v),
+                 lambda v: gf.R1(2).replace(a=v)):
+        for bad in (0.5, True, 1j, "1/2"):
+            with pytest.raises(UsageError, match="must be an exact rational"):
+                make(bad)
+        assert make(HALF) == make(HALF) and make(2) == make(Fraction(2))
+    assert gf.M1._rationals == ("a", "b")
+    assert gf.GouldHopper._rationals == ()
+
+
 def test_record_replace():
     m1 = gf.M1(2, "euler")
     changed = m1.replace(r=4, b=HALF)

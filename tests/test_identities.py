@@ -140,6 +140,21 @@ def test_run_suite_shallow():
     assert all(r.bounds.n_max == 4 for r in reports)
 
 
+def test_run_check_empties_the_build_cache(monkeypatch):
+    ids.run_check("lemma1", ids.DEFAULTS["lemma1"].replace(n_max=3))
+    assert gf.build.cache_info().currsize == 0
+
+    def raises(bounds):
+        gf.build(gf.CosC(), bounds.n_max)
+        assert gf.build.cache_info().currsize == 1
+        raise ZeroDivisionError
+
+    monkeypatch.setitem(ids.CHECKS, "lemma1", raises)
+    with pytest.raises(ZeroDivisionError):
+        ids.run_check("lemma1")
+    assert gf.build.cache_info().currsize == 0
+
+
 @pytest.mark.parametrize("check_id", [
     "lemma1", "lemma2", "k_decomposition", "k1hc", "k2hs",
     "c1_linear_comb", "thm_2_3", "bernl_reduction", "euler_reduction",

@@ -41,6 +41,10 @@ MUTATIONS = [
     # frak_h, which keeps no cache, with its cosine and sine sides swapped
     ("closedform.py", '"CS"[_choice(kind, (1, 2))]',
      '"SC"[_choice(kind, (1, 2))]', ("thm-2-3", "thm-2-4")),
+    # a product by an int that cancels nothing: the right value, not in
+    # lowest terms, so it no longer equals its canonical form
+    ("exact.py", "g = math.gcd(self.den, p)", "g = 1",
+     ("lemma1", "nk3", "bernl-reduction")),
 ]
 
 
