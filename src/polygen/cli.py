@@ -171,7 +171,9 @@ def _family_params(args: argparse.Namespace) -> tuple[Family, dict]:
 
 def _write_json(payload: object) -> None:
     """Write the payload piece by piece through ``sys.stdout.write``,
-    looked up here, so that a replaced ``sys.stdout`` sees every byte."""
+    looked up here, so that a replaced ``sys.stdout`` sees every byte.
+    A piece holds at most a few hundred terms of one polynomial, so a
+    large coefficient is never held as one string."""
     write = sys.stdout.write
     for chunk in json_chunks(payload):
         write(chunk)

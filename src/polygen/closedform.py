@@ -27,10 +27,17 @@ from functools import lru_cache
 
 from .errors import (EULER_POLE, ZERO_CONSTANT_TERM, RangeError,
                      SingularityError, UsageError)
-from .exact import CPoly, MultiPoly, Rational, U, X, binom, check_r, dot
+from .exact import (CPoly, MultiPoly, Rational, U, X, _ratio, binom,
+                    check_r, dot)
 
 _ONE = MultiPoly.const(1)
 _ZERO = MultiPoly.zero()
+
+
+def _exact(value: object) -> Fraction:
+    """A ``Rational`` parameter as a Fraction; a float, bool, complex or
+    str is refused with UsageError."""
+    return Fraction(*_ratio(value))
 
 
 def _check_n(n: int) -> None:
@@ -98,11 +105,15 @@ def chebyshev(kind: str, n: int) -> MultiPoly:
                 binom(n, 2 * k + parity)) for k, power in enumerate(powers))
 
 
-@lru_cache(maxsize=None)
 def dickson(kind: str, n: int, alpha: Rational) -> MultiPoly:
     """Dickson value of the first ("D") or second ("E") kind at degree n."""
+    # checked before the cache, where 0.5 would hit the entry of 1/2
+    return _dickson(kind, n, _exact(alpha))
+
+
+@lru_cache(maxsize=None)
+def _dickson(kind: str, n: int, alpha: Fraction) -> MultiPoly:
     _check_n(n)
-    alpha = Fraction(alpha)
     prev, cur = (MultiPoly.const(2), _ONE)[_choice(kind, ("D", "E"))], X
     if n == 0:
         return prev
@@ -263,7 +274,7 @@ def kernel_power_numbers(z: int, fkind: str, a: Rational, b: Rational,
     z < 0 is singular when b + f(0, a) = 0."""
     _check_n(count)
     kind = "BE"[_choice(fkind, ("bernoulli", "euler"), "kernel kind")]
-    return _apostol_numbers(kind, z, Fraction(a), count, Fraction(b))
+    return _apostol_numbers(kind, z, _exact(a), count, _exact(b))
 
 
 def _appell(nums: tuple[Fraction, ...], n: int) -> MultiPoly:
@@ -283,10 +294,9 @@ def apostol(kind: str, n: int, k: int, lam: Rational) -> MultiPoly:
     _check_n(n)
     if not isinstance(k, int):
         raise UsageError(f"order k must be an integer, got {k!r}")
-    return _appell(_apostol_numbers(kind, k, Fraction(lam), n), n)
+    return _appell(_apostol_numbers(kind, k, _exact(lam), n), n)
 
 
-@lru_cache(maxsize=None)
 def parametric_apostol(kind: str, n: int, z: int, a: Rational) -> MultiPoly:
     """Cosine/sine-weighted Apostol-type values in x and y.
 
@@ -294,8 +304,13 @@ def parametric_apostol(kind: str, n: int, z: int, a: Rational) -> MultiPoly:
     ones, by the alternating even/odd y-sums that the cosine and sine
     factors produce.
     """
+    # checked before the cache, where 0.5 would hit the entry of 1/2
+    return _parametric_apostol(kind, n, z, _exact(a))
+
+
+@lru_cache(maxsize=None)
+def _parametric_apostol(kind: str, n: int, z: int, a: Fraction) -> MultiPoly:
     _check_n(n)
-    a = Fraction(a)
     parity = _choice(kind, ("BC", "BS", "EC", "ES")) % 2
     return y_parity_sum(n, parity, lambda m: apostol(kind[0], m, z, a))
 
@@ -342,6 +357,7 @@ def frak_h(kind: int, n: int, z: int, r: int, fkind: str,
     _check_n(n)
     check_r(r)
     cs_kind = "CS"[_choice(kind, (1, 2))]
+    a, b = _exact(a), _exact(b)  # before _kernel_poly's cache
     return binomial_convolution(
         n, lambda j: cs_r(cs_kind, j, r),
         lambda m: _kernel_poly(m, z, fkind, a, b)) * 2
@@ -351,7 +367,6 @@ def frak_h(kind: int, n: int, z: int, r: int, fkind: str,
 # real/imaginary projections and the adjoined square root
 
 
-@lru_cache(maxsize=None)
 def _p12(n: int, r: int) -> CPoly:
     """sum_j binom(n,j) H_j(u1..ur) * (x+iy)**(n-j), the complex value
     whose real and imaginary parts the projections below expose."""

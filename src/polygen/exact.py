@@ -424,18 +424,7 @@ class MultiPoly:
     # rendering and serialization
 
     def __str__(self) -> str:
-        if not self.num:
-            return "0"
-        names, rows = _canonical(self.num)
-        den = self.den
-        parts: list[str] = []
-        for exps, v in rows:
-            body = _term_string(names, exps, _fraction_text(abs(v), den))
-            if not parts:
-                parts.append(body if v > 0 else "-" + body)
-            else:
-                parts.append((" + " if v > 0 else " - ") + body)
-        return "".join(parts)
+        return _text(self)
 
     def __repr__(self) -> str:
         flag = ", s-reduced" if self.reduced_s else ""
@@ -533,28 +522,30 @@ def _reduce_terms(num: dict[int, int]) -> dict[int, int]:
     return out
 
 
-def _canonical(num: Mapping[int, int]
-               ) -> tuple[tuple[str, ...], list[tuple[list[int], int]]]:
-    """The variables that occur, and the terms in canonical order.
-
-    Exponents are non-negative bit fields, so a variable occurs exactly
-    when its field is nonzero in the OR of all keys.  Each key is
-    unpacked once, over those variables only, into exponents aligned
-    with the returned names.  The order is graded, then lexicographic,
-    both descending; the absent variables, zero in every term, cannot
-    change it.
-    """
-    used = reduce(or_, num, 0)
+def _ordered(num: Mapping[int, int], bit: int | None = None
+             ) -> tuple[list[tuple[str, int]], list[int]]:
+    """The occurring variables as (name, shift) pairs, and the keys in
+    canonical order, graded then lexicographic, both descending: all
+    keys, or those whose i bit is ``bit``.  A key sorts on one int, its
+    degree above its exponents of the occurring variables, the first
+    most significant, each in a field as wide as the widest."""
+    keys = list(num) if bit is None else [k for k in num if k & _I == bit]
+    used = reduce(or_, keys, 0)
     shifts = [sh for sh in range(0, _BITS * len(VARS), _BITS)
               if (used >> sh) & _MASK]
-    rows = [([(key >> sh) & _MASK for sh in shifts], v)
-            for key, v in num.items()]
-    rows.sort(key=_graded, reverse=True)
-    return tuple(VARS[sh // _BITS] for sh in shifts), rows
+    width = max([((used >> sh) & _MASK).bit_length() for sh in shifts] or [0])
+    top = width * len(shifts)
 
+    def rank(key: int) -> int:
+        degree = lex = 0
+        for sh in shifts:
+            e = (key >> sh) & _MASK
+            degree += e
+            lex = lex << width | e
+        return degree << top | lex
 
-def _graded(row: tuple[list[int], int]) -> tuple[int, list[int]]:
-    return (sum(row[0]), row[0])
+    keys.sort(key=rank, reverse=True)
+    return [(VARS[sh // _BITS], sh) for sh in shifts], keys
 
 
 def _fraction_text(v: int, den: int) -> str:
@@ -567,16 +558,22 @@ def _fraction_text(v: int, den: int) -> str:
     return f"{v // g}/{den // g}"
 
 
-def _term_string(names: tuple[str, ...], exps: list[int], mag: str) -> str:
-    mono = "*".join(
-        name if e == 1 else f"{name}^{e}"
-        for name, e in zip(names, exps) if e
-    )
-    if not mono:
-        return mag
-    if mag == "1":
-        return mono
-    return f"{mag}*{mono}"
+def _text(p: MultiPoly, bit: int | None = None) -> str:
+    """The text of ``p``, or of its terms whose i bit is ``bit``."""
+    used, keys = _ordered(p.num, bit)
+    num, den = p.num, p.den
+    out = []
+    for key in keys:
+        v = num[key]
+        mag = _fraction_text(abs(v), den)
+        mono = "*".join(name if e == 1 else f"{name}^{e}"
+                        for name, sh in used if (e := (key >> sh) & _MASK))
+        out += (" - " if v < 0 else " + ",
+                f"{mag}*{mono}" if mono and mag != "1" else mono or mag)
+    if not out:
+        return "0"
+    out[0] = out[0].strip(" +")  # "-" or ""
+    return "".join(out)
 
 
 # ----------------------------------------------------------------------
@@ -631,8 +628,8 @@ class CPoly(MultiPoly):
     im = property(lambda self: self._part(_I), doc="The imaginary part.")
 
     def __str__(self) -> str:
-        im = self.im
-        return f"({self.re}) + i*({im})" if im.num else str(self.re)
+        re, im = _text(self, 0), _text(self, _I)
+        return re if im == "0" else f"({re}) + i*({im})"
 
     def __repr__(self) -> str:
         return f"CPoly({self})"
@@ -716,18 +713,23 @@ def json_chunks(value: object, pad: str = "") -> Iterator[str]:
     A MultiPoly is written as ``{"vars": [...], "terms": [{"exp": [...],
     "coef": "p/q"}, ...]}``, with ``"reduced_s": true`` when the flag is
     set; ``exp`` lists the exponents of the ``vars`` that occur, in
-    alphabet order, and the terms come in canonical order.  Each
-    MultiPoly is one piece, built straight from its term dict.  A CPoly
-    is ``{"re": ..., "im": ...}``.  A dict is an object; str, int, bool
-    and None are scalars; any other iterable is an array whose elements
-    are taken and written one at a time, so a generator of coefficients
-    is never held whole.
+    alphabet order, and the terms come in canonical order, a few hundred
+    to a piece.  A CPoly is ``{"re": ..., "im": ...}``, each part read
+    from its own terms.  A dict is an object; str, int, bool and None
+    are scalars; any other iterable is an array whose elements are
+    taken and written one at a time, so a generator of coefficients is
+    never held whole.
     """
     import json  # here, so that text output never loads it
     if isinstance(value, CPoly):
-        yield from json_chunks({"re": value.re, "im": value.im}, pad)
+        inner = pad + "  "
+        yield f'{{\n{inner}"re": '
+        yield from _poly_json(value, inner, 0)
+        yield f',\n{inner}"im": '
+        yield from _poly_json(value, inner, _I)
+        yield f"\n{pad}}}"
     elif isinstance(value, MultiPoly):
-        yield _poly_json(value, pad)
+        yield from _poly_json(value, pad)
     elif value is None or isinstance(value, (str, int)):
         yield json.dumps(value)
     else:
@@ -744,22 +746,28 @@ def json_chunks(value: object, pad: str = "") -> Iterator[str]:
         yield f"\n{pad}{closing}" if sep == "," else opening + closing
 
 
-def _poly_json(p: MultiPoly, pad: str) -> str:
-    names, rows = _canonical(p.num)
-    den = p.den
+def _poly_json(p: MultiPoly, pad: str,
+               bit: int | None = None) -> Iterator[str]:
+    """The JSON object of ``p``, or of its terms whose i bit is ``bit``,
+    in pieces of at most 256 terms."""
+    used, keys = _ordered(p.num, bit)
+    num, den = p.num, p.den
     i1 = pad + "  "
     i2 = i1 + "  "
     i3 = i2 + "  "
-    terms = [f'{{\n{i3}"exp": {_json_array(map(str, exps), i3)},\n'
-             f'{i3}"coef": "{_fraction_text(v, den)}"\n{i2}}}'
-             for exps, v in rows]
     # the alphabet's names need no escaping
-    names_json = _json_array((f'"{name}"' for name in names), i1)
-    text = (f'{{\n{i1}"vars": {names_json},\n'
-            f'{i1}"terms": {_json_array(terms, i1)}')
-    if p.reduced_s:
-        text += f',\n{i1}"reduced_s": true'
-    return f"{text}\n{pad}}}"
+    names = _json_array([f'"{name}"' for name, _ in used], i1)
+    yield f'{{\n{i1}"vars": {names},\n{i1}"terms": '
+    sep = f"[\n{i2}"
+    for start in range(0, len(keys), 256):
+        yield sep + f",\n{i2}".join(
+            f'{{\n{i3}"exp": '
+            f'{_json_array([str((key >> sh) & _MASK) for _, sh in used], i3)}'
+            f',\n{i3}"coef": "{_fraction_text(num[key], den)}"\n{i2}}}'
+            for key in keys[start:start + 256])
+        sep = f",\n{i2}"
+    flag = f',\n{i1}"reduced_s": true' if p.reduced_s else ""
+    yield (f"\n{i1}]" if keys else "[]") + f"{flag}\n{pad}}}"
 
 
 def _json_array(texts: Iterable[str], pad: str) -> str:

@@ -243,6 +243,38 @@ def test_closed_forms_cache():
     assert cf.kpoly("K", 4, 2) is cf.kpoly("K", 4, 2)
     # hpoly keeps no cache: within one check no value of it is read twice
     assert not hasattr(cf.hpoly, "cache_info")
+    # nor _p12: a table request never reads one of its values again
+    assert not hasattr(cf._p12, "cache_info")
+
+
+# every Rational parameter of the public closed forms, as a call of it
+_RATIONAL_PARAMS = {
+    "dickson alpha": lambda v: cf.dickson("D", 2, v),
+    "apostol lam": lambda v: cf.apostol("B", 2, 1, v),
+    "parametric_apostol a": lambda v: cf.parametric_apostol("BC", 2, 1, v),
+    "kernel_power_numbers a":
+        lambda v: cf.kernel_power_numbers(1, "bernoulli", v, 1, 3),
+    "kernel_power_numbers b":
+        lambda v: cf.kernel_power_numbers(1, "bernoulli", 1, v, 3),
+    "hpoly a": lambda v: cf.hpoly("h", 2, 1, 1, "bernoulli", v, 1),
+    "hpoly b": lambda v: cf.hpoly("h", 2, 1, 1, "bernoulli", 1, v),
+    "frak_h a": lambda v: cf.frak_h(1, 2, 1, 1, "bernoulli", v, 1),
+    "frak_h b": lambda v: cf.frak_h(1, 2, 1, 1, "bernoulli", 1, v),
+}
+
+
+@pytest.mark.parametrize("param", sorted(_RATIONAL_PARAMS))
+@pytest.mark.parametrize("value", [0.5, True, 0.5j, "1/2"],
+                         ids=["float", "bool", "complex", "str"])
+def test_closed_forms_refuse_inexact_rationals(param, value):
+    call = _RATIONAL_PARAMS[param]
+    # the exact value first, so that a cache keyed on 0.5 == 1/2 would hit
+    call(HALF)
+    with pytest.raises(UsageError) as raised:
+        call(value)
+    assert str(raised.value) == \
+        f"expected an exact rational, got {type(value).__name__}"
+    call(HALF)
 
 
 _KIND = "unknown kind {!r}; expected "
@@ -299,10 +331,10 @@ _KIND = "unknown kind {!r}; expected "
      "unknown kind 3; expected 1 or 2"),
     # the Dickson parameter and the Apostol kernel parameter are read
     # before the kind
-    (lambda: cf.dickson("T", 2, "x"), ValueError,
-     "Invalid literal for Fraction: 'x'"),
-    (lambda: cf.parametric_apostol("BT", 2, 1, "x"), ValueError,
-     "Invalid literal for Fraction: 'x'"),
+    (lambda: cf.dickson("T", 2, "x"), UsageError,
+     "expected an exact rational, got str"),
+    (lambda: cf.parametric_apostol("BT", 2, 1, "x"), UsageError,
+     "expected an exact rational, got str"),
 ])
 def test_bad_kind_messages(call, error, message):
     with pytest.raises(error) as raised:

@@ -451,34 +451,77 @@ def test_poly_substitute_matches_eval(p, q, var, point, reduced):
 
 def _expected_json(p):
     # the documented shape, read from the term dict and the alphabet
-    exps = {key: _unpack(key) for key in p.terms}
+    terms = p.terms
+    exps = {key: _unpack(key) for key in terms}
     used = [i for i, name in enumerate(VARS)
             if any(e[i] for e in exps.values())]
-    order = sorted(p.terms, key=lambda k: (sum(exps[k]), exps[k]),
+    order = sorted(terms, key=lambda k: (sum(exps[k]), exps[k]),
                    reverse=True)
     data = {"vars": [VARS[i] for i in used],
             "terms": [{"exp": [exps[k][i] for i in used],
-                       "coef": str(p.terms[k])} for k in order]}
+                       "coef": str(terms[k])} for k in order]}
     if p.reduced_s:
         data["reduced_s"] = True
     return data
 
 
-_json_polys = st.one_of(polys(), _coefs.map(MultiPoly.const),
+def _expected_text(data):
+    # the text of a reference dict of _expected_json, term by term
+    out = ""
+    for term in data["terms"]:
+        coef = Fraction(term["coef"])
+        mono = "*".join(name if e == 1 else f"{name}^{e}"
+                        for name, e in zip(data["vars"], term["exp"]) if e)
+        mag = str(abs(coef))
+        body = mono if mono and mag == "1" else (
+            f"{mag}*{mono}" if mono else mag)
+        if out:
+            out += (" - " if coef < 0 else " + ") + body
+        else:
+            out = ("-" if coef < 0 else "") + body
+    return out or "0"
+
+
+# exponents wide and narrow in one value, over the whole alphabet, so
+# that the sort fields of differently wide variables meet
+_wide_exps = st.dictionaries(
+    st.sampled_from(VARS), st.one_of(st.integers(min_value=0, max_value=3),
+                                     st.integers(min_value=0, max_value=300)),
+    max_size=4)
+
+
+@st.composite
+def _wide_polys(draw):
+    p = MultiPoly.zero()
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        p = p + MultiPoly.monomial(draw(_wide_exps), draw(_coefs))
+    return p
+
+
+_json_polys = st.one_of(_wide_polys(), _coefs.map(MultiPoly.const),
                         st.just(MultiPoly.zero()))
 
 
 @given(_json_polys, _json_polys, st.booleans())
+@example(X * Fraction(1, 3) + Y ** 17, Y * Fraction(5, 4) - X ** 2, False)
+@example(MultiPoly.zero(), S ** 3 * Fraction(-1, 6), True)
 @settings(max_examples=80, deadline=None)
 def test_json_writer_matches_json_dumps(p, q, reduced):
+    # json_chunks, and str as well, write the reference's terms, sorted
+    # by (sum(exps), exps) descending; a CPoly's parts have their own
+    # denominators, and an all-real CPoly a zero part
     if reduced:
         p, q = p.reduce_s(), q.reduce_s()
-    for value, expected in (
-            (p, _expected_json(p)),
-            (CPoly(p, q), {"re": _expected_json(p), "im": _expected_json(q)}),
-            (CPoly.real(p), {"re": _expected_json(p),
-                             "im": _expected_json(MultiPoly.zero(reduced))})):
+    zero = MultiPoly.zero(reduced)
+    for value, parts in ((p, [p]), (CPoly(p, q), [p, q]),
+                         (CPoly.real(p), [p, zero]),
+                         (CPoly(zero, q), [zero, q])):
+        data = [_expected_json(part) for part in parts]
+        expected = (data[0] if len(data) == 1
+                    else {"re": data[0], "im": data[1]})
         assert "".join(json_chunks(value)) == json.dumps(expected, indent=2)
+        re, im = ([_expected_text(d) for d in data] + ["0"])[:2]
+        assert str(value) == (re if im == "0" else f"({re}) + i*({im})")
     # nested, with arrays read from generators, and empty containers
     doc = {"n": 3, "flag": True, "none": None, "params": {},
            "empty": iter(()),
@@ -489,6 +532,19 @@ def test_json_writer_matches_json_dumps(p, q, reduced):
                          {"value": {"re": _expected_json(p),
                                     "im": _expected_json(q)}}]}
     assert "".join(json_chunks(doc)) == json.dumps(expected, indent=2)
+
+
+def test_json_pieces_are_bounded():
+    # 5,000 terms with 40-digit coefficients: over 600 KB of JSON, but
+    # written in pieces of a few hundred terms
+    terms = {i + (j << 16): Fraction(10 ** 40 + i * j, 7 + i)
+             for i in range(100) for j in range(50)}
+    p = MultiPoly(terms)
+    for value in (p, CPoly(p, -p), [p, {"v": p}]):
+        chunks = list(json_chunks(value))
+        assert len("".join(chunks)) > 600_000
+        assert max(map(len, chunks)) <= 100_000
+    assert len(json.loads("".join(json_chunks(p)))["terms"]) == 5000
 
 
 # ----------------------------------------------------------------------
