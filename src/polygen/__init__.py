@@ -4,9 +4,10 @@ polynomial families.
 Everything is computed over the rationals with zero tolerance: series
 coefficients come from truncated power-series algebra, closed forms
 from explicit sums and recurrences, and the identities module compares
-the two routes term by term.  It loads on first use, as
-``polygen.identities``, so that a program which only builds series or
-tables does not pay for the catalog.
+the two routes term by term.  The closedform and identities modules
+load on first use, as ``polygen.closedform`` and
+``polygen.identities``: a program which only builds series pays for
+neither, and one which builds tables does not pay for the catalog.
 """
 
 import importlib
@@ -17,7 +18,7 @@ from .exact import (VARS, CPoly, MultiPoly, Rational, S, U, W, W_BAR, X, Y,
                     binom, falling)
 from .series import (TruncSeries, cos_sin, default_order, exp, invert,
                      pow_int)
-from . import closedform, genfun
+from . import genfun
 
 __version__ = "0.1.0"
 
@@ -35,6 +36,6 @@ __all__ = [
 def __getattr__(name: str) -> object:
     # importlib, not "from . import": the import statement asks this
     # hook first and would recurse
-    if name == "identities":
-        return importlib.import_module(".identities", __name__)
+    if name in ("closedform", "identities"):
+        return importlib.import_module(f".{name}", __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -25,7 +25,6 @@ import sys
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
-from . import closedform as cf
 from . import genfun as gf
 from . import series as series_mod
 from .errors import DomainError, RangeError, SingularityError, UsageError
@@ -70,6 +69,18 @@ def _parse_n_range(text: str) -> range:
 
 # ----------------------------------------------------------------------
 # family registry
+
+
+class _ClosedForms:
+    """:mod:`polygen.closedform`, imported on the first call of a closed
+    route, so that a ``series`` request never loads it."""
+
+    def __getattr__(self, name: str) -> object:
+        from . import closedform
+        return getattr(closedform, name)
+
+
+cf = _ClosedForms()
 
 
 class Family(gf.Record):
@@ -221,7 +232,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
                          f"function route; use the table command")
     order = (_check_size("--order", args.order) if args.order is not None
              else series_mod.default_order())
-    ser = gf.build(family.descriptor(*params.values()), order)
+    ser = gf.generate(family.descriptor(*params.values()), order)
     if args.format == "json":
         _print_json(family, params, series=ser.json_fields())
     else:
@@ -363,13 +374,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _glue_negative_fractions(argv: list[str]) -> list[str]:
-    """Spell "--a -1/2" as "--a=-1/2": argparse takes a separate word
-    "-1/2" for an option, but reads it as a value after "="."""
+def _glue_negative_values(argv: list[str]) -> list[str]:
+    """Spell "--a -1/2" as "--a=-1/2" and "--n -3..2" as "--n=-3..2":
+    argparse takes a separate word "-1/2" or "-3..2" for an option, but
+    reads it as a value after "="."""
     out: list[str] = []
     for word in argv:
-        if (out and re.fullmatch(r"-\d+/\d+", word)
-                and re.fullmatch(r"--\w[\w-]*", out[-1])):
+        if out and (re.fullmatch(r"-\d+/\d+", word)
+                    and re.fullmatch(r"--\w[\w-]*", out[-1])
+                    or re.fullmatch(r"-\d+(\.\.-?\d+)?", word)
+                    and out[-1] == "--n"):
             out[-1] += "=" + word
         else:
             out.append(word)
@@ -381,7 +395,7 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_glue_negative_fractions(argv))
+        args = parser.parse_args(_glue_negative_values(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

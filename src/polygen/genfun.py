@@ -7,8 +7,8 @@ positional order and its CLI flags, their defaults the flag defaults,
 and its ``_series(order)`` method builds its series.  A class names
 its cosine/sine side, kernel or conjugate sign in a class attribute; a
 family that differs only there subclasses it, keeping its fields and
-method, and overrides that.  :func:`build` turns a descriptor into a
-:class:`~polygen.series.TruncSeries` whose coefficients are exact
+method, and overrides that.  :func:`generate` turns a descriptor into
+a :class:`~polygen.series.TruncSeries` whose coefficients are exact
 polynomials.  Chebyshev and Dickson families are ordinary generating
 functions; every other family is exponential.
 
@@ -22,11 +22,13 @@ The Bernoulli flavour at a = 1 is built through the removable
 singularity by inverting (e^t - 1)/t; the Euler flavour at a = -1 is
 a genuine pole and raises :class:`SingularityError`.
 
-:func:`build` is the one cache: descriptors are hashable, arithmetic
-is exact, and series are immutable, so repeated builds across a
-parameter sweep cost one construction each; builders reach nested
-families through the module-level :func:`build` and its cache.  The
-catalog empties it after every check.
+:func:`generate` keeps nothing it builds.  :func:`build` is the one
+cache, over the parts a descriptor composes: descriptors are
+hashable, arithmetic is exact, and series are immutable, so a part
+that a parameter sweep reads at every grid point costs one
+construction; builders reach their parts through the module-level
+:func:`build` and its cache.  The catalog empties it after every
+check.
 """
 
 from __future__ import annotations
@@ -213,9 +215,25 @@ class HermiteGen(Record):
 class GKernel(Record):
     """e^(w*t + sum u_j t^j) with w = x + i*y; complex EGF."""
     r: int = 2
+    conj = 0  # 0, 1, -1: G(w), G(w) + G(conj w), G(w) - G(conj w)
 
     def _series(self, order: int) -> TruncSeries:
-        return _exp_u(self.r, order, W)
+        g = _exp_u(self.r, order, W)
+        if self.conj > 0:
+            return g + g.map_coeffs(lambda c: c.conj())
+        if self.conj < 0:
+            return g - g.map_coeffs(lambda c: c.conj())
+        return g
+
+
+class _GConjSum(GKernel):
+    """G(w) + G(conj w): the kernel part of M2, built once per r."""
+    conj = 1
+
+
+class _GConjDiff(GKernel):
+    """G(w) - G(conj w): the kernel part of M3, built once per r."""
+    conj = -1
 
 
 class K1Kernel(Record):
@@ -239,26 +257,21 @@ class M1(Record):
     a: Rational = Fraction(1)
     b: Rational = Fraction(1)
     r: int = 2
-    conj = 0  # 0, 1, -1: G(w), G(w) + G(conj w), G(w) - G(conj w)
+    kernel = GKernel
 
     def _series(self, order: int) -> TruncSeries:
-        g = build(GKernel(self.r), order)
-        # a name holding the conjugate series would raise peak memory
-        if self.conj > 0:
-            g = g + g.map_coeffs(lambda c: c.conj())
-        elif self.conj < 0:
-            g = g - g.map_coeffs(lambda c: c.conj())
-        return build(R1(self.z, self.fkind, self.a, self.b), order) * g
+        kernel = build(self.kernel(self.r), order)
+        return build(R1(self.z, self.fkind, self.a, self.b), order) * kernel
 
 
 class M2(M1):
     """(b + f(t,a))**z * (G(w) + G(conj w)) with G the complex kernel."""
-    conj = 1
+    kernel = _GConjSum
 
 
 class M3(M1):
     """(b + f(t,a))**z * (G(w) - G(conj w)) with G the complex kernel."""
-    conj = -1
+    kernel = _GConjDiff
 
 
 class M4(Record):
@@ -410,14 +423,12 @@ def _exp_u(r: int, order: int, shift: object = 0) -> TruncSeries:
 # the dispatcher
 
 
-@lru_cache(maxsize=None)
-def build(family: object, order: int) -> TruncSeries:
+def generate(family: object, order: int) -> TruncSeries:
     """The truncated generating series of ``family`` up to t**order.
 
-    Cached: a series built twice within one catalog check is built
-    once.  :func:`polygen.identities.run_check` empties the cache after
-    every check (through :data:`forget`), since later checks seldom read
-    what an earlier one built.
+    Not cached: for a caller that reads the series once, such as a
+    ``series`` request or a catalog check.  The parts the series is
+    composed of come through :func:`build`.
     """
     if not isinstance(order, int) or order < 0:
         raise UsageError(f"truncation order must be a non-negative integer, "
@@ -426,6 +437,17 @@ def build(family: object, order: int) -> TruncSeries:
     if builder is None:
         raise UsageError(f"unknown family descriptor {family!r}")
     return builder(family, order)
+
+
+@lru_cache(maxsize=None)
+def build(family: object, order: int) -> TruncSeries:
+    """:func:`generate`, cached, for the parts a descriptor composes
+    (``R1`` and the kernels of the M and B families), which a parameter
+    sweep reads at every grid point.  :func:`polygen.identities.run_check`
+    empties the cache after every check (through :data:`forget`), since
+    later checks seldom read what an earlier one built.
+    """
+    return generate(family, order)
 
 
 #: Empty :func:`build`'s cache; bound here, since a tracer may replace

@@ -157,7 +157,7 @@ def _kernel_series_check(check_id: str, descriptor, part: str) -> None:
     @_register(check_id, Bounds(n_max=10, r_max=3))
     def gen(bounds: Bounds) -> Iterator[Comparison]:
         for r in range(1, bounds.r_max + 1):
-            built = gf.build(descriptor(r), bounds.n_max)
+            built = gf.generate(descriptor(r), bounds.n_max)
             for n in range(bounds.n_max + 1):
                 yield ({"n": n, "r": r}, built.coefficient(n),
                        cf.kpoly(part, n, r))
@@ -235,7 +235,7 @@ def _grid_check(check_id: str, descriptor, closed, u0=None) -> None:
                 range(1, bounds.r_max + 1), bounds.z_values,
                 _kernel_grid(bounds), bounds.b_values):
             b = Fraction(b)
-            built = gf.build(descriptor(z, fkind, a, b, r), bounds.n_max)
+            built = gf.generate(descriptor(z, fkind, a, b, r), bounds.n_max)
             for n in range(bounds.n_max + 1):
                 inputs = _m_inputs(n, r, z, fkind, a, b)
                 value = closed(n, z, r, fkind, a, b)
@@ -319,8 +319,9 @@ def _reduction_checks(name: str, kind: str, form, cs_kind: str) -> None:
         for z in bounds.z_values:
             for a in bounds.a_values:
                 a = Fraction(a)
-                built = gf.build(form(z, "bernoulli", sign * a, Fraction(0),
-                                      2), bounds.n_max)
+                built = gf.generate(
+                    form(z, "bernoulli", sign * a, Fraction(0), 2),
+                    bounds.n_max)
                 for n in range(bounds.n_max + 1):
                     lhs = _zero_u(built.coefficient(n), 2)
                     rhs = cf.y_parity_sum(
@@ -345,7 +346,7 @@ _section = "section4"
 def _n_hypergeom_0f0(bounds: Bounds) -> Iterator[Comparison]:
     """exp(w*t) against the degenerate hypergeometric sum 0F0."""
     order = bounds.n_max
-    built = gf.build(gf.Nw(), order)
+    built = gf.generate(gf.Nw(), order)
     hyp = gf.pfq((), (), W, 1, order)
     for n in range(order + 1):
         yield ({"n": n}, built.coefficient(n),
@@ -357,7 +358,7 @@ def _n_hypergeom_0f1(bounds: Bounds) -> Iterator[Comparison]:
     """exp(w*t) split into even and odd halves: two 0F1 sums at
     half-integer lower parameters, the odd one carrying i*y*t."""
     order = bounds.n_max
-    lhs = gf.build(gf.Nw(), order).with_convention("ogf")
+    lhs = gf.generate(gf.Nw(), order).with_convention("ogf")
     ex = series.exp(series.from_t_poly({1: X}, order, "egf"))
     ex = ex.with_convention("ogf")
     arg = Y * Y * Fraction(-1, 4)
@@ -513,7 +514,7 @@ def _u_or_zero(u: series.TruncSeries, m: int) -> MultiPoly:
 def _ut_convolution(bounds: Bounds) -> Iterator[Comparison]:
     """Second-kind values from the series route against the scaled
     binomial self-convolution with first-kind values."""
-    built = gf.build(gf.ChebyshevU(), bounds.n_max)
+    built = gf.generate(gf.ChebyshevU(), bounds.n_max)
     for n in range(1, bounds.n_max + 1):
         lhs = built.coefficient(n - 1)
         rhs = cf.binomial_convolution(
@@ -525,7 +526,7 @@ def _ut_convolution(bounds: Bounds) -> Iterator[Comparison]:
 @_register("dickson_ut", Bounds(n_max=16))
 def _dickson_ut(bounds: Bounds) -> Iterator[Comparison]:
     """Dickson analogue of ut_convolution at doubled argument."""
-    built = gf.build(gf.DicksonE(Fraction(1)), bounds.n_max)
+    built = gf.generate(gf.DicksonE(Fraction(1)), bounds.n_max)
     for n in range(1, bounds.n_max + 1):
         lhs = built.coefficient(n - 1).substitute("x", X * 2)
         rhs = cf.binomial_convolution(
@@ -628,7 +629,7 @@ def _recurrence_s1_s2(bounds: Bounds) -> Iterator[Comparison]:
 @_register("tileu", Bounds(n_max=16))
 def _tileu(bounds: Bounds) -> Iterator[Comparison]:
     """First-kind values from consecutive second-kind values."""
-    u = gf.build(gf.ChebyshevU(), bounds.n_max)
+    u = gf.generate(gf.ChebyshevU(), bounds.n_max)
     for n in range(bounds.n_max + 1):
         rhs = _u_or_zero(u, n) - X * _u_or_zero(u, n - 1)
         yield ({"n": n}, cf.chebyshev("T", n), rhs)
@@ -638,7 +639,7 @@ def _tileu(bounds: Bounds) -> Iterator[Comparison]:
 def _tileu2(bounds: Bounds) -> Iterator[Comparison]:
     """One-step raising of first-kind values with a second-kind tail."""
     one = MultiPoly.const(1)
-    u = gf.build(gf.ChebyshevU(), bounds.n_max)
+    u = gf.generate(gf.ChebyshevU(), bounds.n_max)
     for n in range(bounds.n_max):
         rhs = X * cf.chebyshev("T", n) - (one - X * X) * _u_or_zero(u, n - 1)
         yield ({"n": n}, cf.chebyshev("T", n + 1), rhs)
@@ -660,7 +661,7 @@ def _dickson_gf_discrepancy(bounds: Bounds) -> Iterator[Comparison]:
     def target(n: int) -> MultiPoly:
         return cf.chebyshev("T", n).substitute("x", half_x) * 2
 
-    corrected = gf.build(gf.DicksonD(Fraction(1)), bounds.n_max)
+    corrected = gf.generate(gf.DicksonD(Fraction(1)), bounds.n_max)
     for n in range(bounds.n_max + 1):
         yield ({"n": n, "leg": "corrected"}, corrected.coefficient(n),
                target(n))
@@ -679,7 +680,7 @@ def _gould_hopper_discrepancy(bounds: Bounds) -> Iterator[Comparison]:
     floor(n/2) misses the generating function already at n = j = 2; the
     corrected closed form agrees.  Passes when both facts hold."""
     for n, j in ((2, 2), (3, 3)):
-        oracle = gf.build(gf.GouldHopper(j), n).coefficient(n)
+        oracle = gf.generate(gf.GouldHopper(j), n).coefficient(n)
         yield ({"n": n, "j": j, "leg": "corrected"},
                cf.gould_hopper(n, j), oracle)
         variant = dot((MultiPoly.monomial({"x": n - j * s, "y": s}), 1,
@@ -757,9 +758,11 @@ def _validate_bounds(bounds: Bounds) -> None:
 def run_check(check_id: str, bounds: Bounds | None = None) -> CheckReport:
     """Run one check; ``bounds = None`` uses its catalog defaults.
 
-    The series the check builds live only as long as the check:
-    :func:`polygen.genfun.build`'s cache is emptied when it returns or
-    raises.  The ``closedform`` caches are kept for the process.
+    The check builds each series it compares through
+    :func:`polygen.genfun.generate`, which keeps nothing; the parts
+    those series are composed of live in :func:`polygen.genfun.build`'s
+    cache only as long as the check, which is emptied when it returns
+    or raises.  The ``closedform`` caches are kept for the process.
     """
     if check_id not in CHECKS:
         raise UsageError(f"unknown check id {check_id!r}")

@@ -179,6 +179,17 @@ def test_negative_fraction_as_separate_word(capsys, family, flag):
     assert apart == glued and apart[0] == 0 and apart[2] == ""
 
 
+@pytest.mark.parametrize("selector", ["-3..2", "-3", "-3..-1"])
+def test_negative_n_selector_as_separate_word(capsys, selector):
+    # "--n -3..2" must read like "--n=-3..2": the index is refused, not
+    # the spelling
+    apart = run(capsys, "table", "--family", "chebyshev-t", "--n", selector)
+    glued = run(capsys, "table", "--family", "chebyshev-t",
+                f"--n={selector}")
+    assert apart == glued and apart[0] == 2 and apart[1] == ""
+    assert "non-negative integer, got -3" in apart[2]
+
+
 @pytest.mark.parametrize("family", ["bform", "b1form", "m1", "m2", "m3"])
 @pytest.mark.parametrize("r", ["9", "0"])
 def test_out_of_range_r_beats_singular_kernel(capsys, family, r):
@@ -583,8 +594,13 @@ def test_series_and_table_children_load_only_what_they_run():
                  ("table", "--family", "bc", "--n", "0..3"),
                  ("expand", "--family", "chebyshev-t", "--n", "0")):
         imported, _ = _imported_by(*argv)
-        # text output writes no JSON, so it loads no json either
+        # text output writes no JSON, so it loads no json either; a
+        # series has no closed route to run
         refused = unused if "json" in argv else unused | {"json"}
+        if "series" in argv:
+            refused = refused | {"polygen.closedform"}
+        else:
+            assert "polygen.closedform" in imported, argv
         assert "polygen.genfun" in imported and not imported & refused, argv
     imported, out = _imported_by("table", "--family", "bc", "--n", "0..1",
                                  "--format", "csv")
@@ -611,6 +627,20 @@ def test_identities_stays_reachable_from_the_package():
              "    polygen.no_such_name\n"
              "except AttributeError:\n"
              "    print('ok')\n")
+    proc = _child("-c", probe)
+    assert proc.returncode == 0 and proc.stdout == "ok\n", proc.stderr
+
+
+def test_closedform_stays_reachable_from_the_package():
+    probe = ("import sys, polygen\n"
+             "assert 'polygen.closedform' not in sys.modules\n"
+             "cf = polygen.closedform\n"
+             "from polygen import closedform\n"
+             "assert closedform is cf and str(cf.chebyshev('T', 2)) == "
+             "'2*x^2 - 1'\n"
+             "from polygen import cli\n"
+             "assert cli.cf.chebyshev is cf.chebyshev\n"
+             "print('ok')\n")
     proc = _child("-c", probe)
     assert proc.returncode == 0 and proc.stdout == "ok\n", proc.stderr
 

@@ -155,6 +155,32 @@ def test_run_check_empties_the_build_cache(monkeypatch):
     assert gf.build.cache_info().currsize == 0
 
 
+def test_build_caches_parts_not_the_series_a_check_reads(monkeypatch):
+    # a grid or double-sum check reads each of its series once, so only
+    # the parts those series are composed of pass through the cache
+    calls = {"build": [], "generate": []}
+
+    def spy(name):
+        inner = getattr(gf, name)
+
+        def recorded(family, order):
+            calls[name].append(type(family))
+            return inner(family, order)
+        monkeypatch.setattr(gf, name, recorded)
+
+    spy("build")
+    spy("generate")
+    for check_id in ("nk1", "nk3", "thm_2_3", "bernl_double_sum"):
+        bounds = ids.DEFAULTS[check_id].replace(n_max=2, r_max=1)
+        assert ids.run_check(check_id, bounds).passed, check_id
+    cached = set(calls["build"])
+    assert not cached & {gf.M1, gf.M2, gf.M3, gf.Bform, gf.B1form}
+    assert {gf.R1, gf.GKernel, gf.M2.kernel, gf.K1Kernel} <= cached
+    # nk1 reads G(w) + G(conj w) at every grid point and builds it once
+    assert calls["build"].count(gf.M2.kernel) > 1
+    assert calls["generate"].count(gf.M2.kernel) == 1
+
+
 @pytest.mark.parametrize("check_id", [
     "lemma1", "lemma2", "k_decomposition", "k1hc", "k2hs",
     "c1_linear_comb", "thm_2_3", "bernl_reduction", "euler_reduction",
